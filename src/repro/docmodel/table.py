@@ -154,10 +154,14 @@ class Table:
 
     def to_grid(self) -> List[List[str]]:
         """Dense 2-D list of cell texts; spanned slots repeat the cell text."""
-        grid = [["" for _ in range(self.num_cols)] for _ in range(self.num_rows)]
+        num_rows, num_cols = self.num_rows, self.num_cols
+        grid = [[""] * num_cols for _ in range(num_rows)]
         for cell in self.cells:
-            for r, c in cell.covered_slots():
-                grid[r][c] = cell.text
+            if cell.rowspan == 1 and cell.colspan == 1:
+                grid[cell.row][cell.col] = cell.text
+            else:
+                for r, c in cell.covered_slots():
+                    grid[r][c] = cell.text
         return grid
 
     def body_rows(self) -> List[List[str]]:

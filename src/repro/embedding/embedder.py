@@ -135,8 +135,9 @@ class HashingEmbedder:
 
     def _concept_component(self, text: str) -> np.ndarray:
         component = np.zeros(self.dimensions, dtype=np.float64)
+        present = knowledge.concepts_in(text)
         for concept, centroid in self._concepts().items():
-            if knowledge.text_matches_concept(text, concept):
+            if concept in present:
                 component += centroid
         norm = float(np.linalg.norm(component))
         if norm > 0.0:

@@ -9,13 +9,14 @@ dollar cost and virtual latency, and benches report the aggregates.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .base import ModelSpec, Usage, get_model_spec
 
 
-@dataclass
+@dataclass(slots=True)
 class CallRecord:
     """One completion call as seen by the ledger."""
 
@@ -44,17 +45,37 @@ class CostSummary:
         """Input plus output tokens."""
         return self.input_tokens + self.output_tokens
 
+    def add(self, other: "CostSummary") -> None:
+        """Fold another summary into this one."""
+        self.calls += other.calls
+        self.cached_calls += other.cached_calls
+        self.input_tokens += other.input_tokens
+        self.output_tokens += other.output_tokens
+        self.cost_usd += other.cost_usd
+        self.latency_s += other.latency_s
+
+
+#: How many of the most recent calls :meth:`CostTracker.records` keeps.
+#: The totals cover every call ever recorded; only the per-call detail
+#: is a window, so a long-lived context's ledger stays a fixed size.
+RECENT_RECORDS = 1024
+
 
 class CostTracker:
     """Thread-safe ledger of LLM usage.
 
     Calls may be tagged (e.g. with the query-plan operator that issued
-    them) so per-operator traces can show where the money went.
+    them) so per-operator traces can show where the money went. Totals
+    are kept running, overall and per ``(tag, model)``: reading them
+    costs the number of distinct tags and models, never the number of
+    calls made.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: List[CallRecord] = []
+        self._recent: Deque[CallRecord] = deque(maxlen=RECENT_RECORDS)
+        self._overall = CostSummary()
+        self._totals: Dict[Tuple[str, str], CostSummary] = {}
 
     def record(
         self,
@@ -77,43 +98,57 @@ class CostTracker:
             cached=cached,
             tag=tag,
         )
+        one = CostSummary(
+            calls=1,
+            cached_calls=int(cached),
+            input_tokens=record.input_tokens,
+            output_tokens=record.output_tokens,
+            cost_usd=record.cost_usd,
+            latency_s=record.latency_s,
+        )
         with self._lock:
-            self._records.append(record)
+            self._recent.append(record)
+            self._overall.add(one)
+            self._totals.setdefault((tag, model), CostSummary()).add(one)
         return record
 
     def records(self) -> List[CallRecord]:
-        """A snapshot list of all recorded entries."""
+        """A snapshot list of the most recent ``RECENT_RECORDS`` entries."""
         with self._lock:
-            return list(self._records)
+            return list(self._recent)
 
     def reset(self) -> None:
-        """Discard all recorded entries."""
+        """Discard all recorded entries and totals."""
         with self._lock:
-            self._records.clear()
+            self._recent.clear()
+            self._overall = CostSummary()
+            self._totals.clear()
 
     def summary(self, tag: Optional[str] = None, model: Optional[str] = None) -> CostSummary:
         """Aggregate, optionally filtered by tag and/or model."""
         result = CostSummary()
-        for record in self.records():
-            if tag is not None and record.tag != tag:
-                continue
-            if model is not None and record.model != model:
-                continue
-            result.calls += 1
-            if record.cached:
-                result.cached_calls += 1
-            result.input_tokens += record.input_tokens
-            result.output_tokens += record.output_tokens
-            result.cost_usd += record.cost_usd
-            result.latency_s += record.latency_s
+        with self._lock:
+            if tag is None and model is None:
+                # Summed in call order, as a scan of every record would.
+                matching = [self._overall]
+            else:
+                matching = [
+                    total
+                    for (each_tag, each_model), total in self._totals.items()
+                    if tag in (None, each_tag) and model in (None, each_model)
+                ]
+            for total in matching:
+                result.add(total)
         return result
 
     def by_model(self) -> Dict[str, CostSummary]:
         """Per-model aggregate summaries."""
-        models = {record.model for record in self.records()}
+        with self._lock:
+            models = {model for _, model in self._totals}
         return {name: self.summary(model=name) for name in sorted(models)}
 
     def by_tag(self) -> Dict[str, CostSummary]:
         """Per-tag aggregate summaries."""
-        tags = {record.tag for record in self.records()}
+        with self._lock:
+            tags = {tag for tag, _ in self._totals}
         return {name: self.summary(tag=name) for name in sorted(tags)}

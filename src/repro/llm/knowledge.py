@@ -18,6 +18,7 @@ imperfection rather than assuming an oracle.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -261,19 +262,48 @@ def match_concepts(condition: str) -> List[str]:
     return found
 
 
+@lru_cache(maxsize=4096)
+def _words_pattern(words: Tuple[str, ...]) -> "re.Pattern[str]":
+    """One compiled matcher for any of ``words`` standing alone."""
+    return re.compile(r"\b(?:%s)\b" % "|".join(map(re.escape, words)))
+
+
+def _matcher(keywords: FrozenSet[str]) -> Tuple[Tuple[str, ...], Optional["re.Pattern[str]"]]:
+    """(multi-word keywords, matched as substrings; one compiled
+    alternation of the single-word keywords, or None when there are none)."""
+    words = tuple(sorted(k for k in keywords if " " not in k))
+    phrases = tuple(sorted(k for k in keywords if " " in k))
+    return phrases, (_words_pattern(words) if words else None)
+
+
+_MATCHERS = {concept: _matcher(keywords) for concept, keywords in CONCEPT_KEYWORDS.items()}
+
+
+def _padded(text: str) -> str:
+    """The normalised, space-padded form every keyword is matched against."""
+    return " " + normalize(text) + " "
+
+
+def _concept_in(norm: str, concept: str) -> bool:
+    """:func:`text_matches_concept` on text that is already :func:`_padded`."""
+    matcher = _MATCHERS.get(concept)
+    if matcher is None:
+        return False
+    phrases, words = matcher
+    if words is not None and words.search(norm):
+        return True
+    return any(phrase in norm for phrase in phrases)
+
+
 def text_matches_concept(text: str, concept: str) -> bool:
     """True if the text contains any keyword of the concept."""
-    keywords = CONCEPT_KEYWORDS.get(concept)
-    if keywords is None:
-        return False
-    norm = " " + normalize(text) + " "
-    for keyword in keywords:
-        if " " in keyword:
-            if keyword in norm:
-                return True
-        elif re.search(rf"\b{re.escape(keyword)}\b", norm):
-            return True
-    return False
+    return _concept_in(_padded(text), concept)
+
+
+def concepts_in(text: str) -> FrozenSet[str]:
+    """Every concept the text matches, normalising the text only once."""
+    norm = _padded(text)
+    return frozenset(c for c in _MATCHERS if _concept_in(norm, c))
 
 
 def condition_holds(condition: str, text: str) -> bool:
@@ -287,13 +317,14 @@ def condition_holds(condition: str, text: str) -> bool:
     norm_condition = normalize(condition)
     negated = any(marker in f" {norm_condition} " for marker in _NEGATION_MARKERS)
     concepts = match_concepts(condition)
+    norm_text = _padded(text)
     if concepts:
         if " or " in norm_condition and len(concepts) > 1:
-            result = any(text_matches_concept(text, c) for c in concepts)
+            result = any(_concept_in(norm_text, c) for c in concepts)
         else:
-            result = all(text_matches_concept(text, c) for c in concepts)
+            result = all(_concept_in(norm_text, c) for c in concepts)
     else:
-        result = _content_words_present(norm_condition, text)
+        result = _content_words_present(norm_condition, norm_text)
     return (not result) if negated else result
 
 
@@ -305,12 +336,11 @@ _STOPWORDS = frozenset(
 )
 
 
-def _content_words_present(condition: str, text: str) -> bool:
+def _content_words_present(condition: str, norm_text: str) -> bool:
     words = [w for w in condition.split() if w not in _STOPWORDS and len(w) > 2]
     if not words:
         return False
-    norm_text = " " + normalize(text) + " "
-    hits = sum(1 for w in words if re.search(rf"\b{re.escape(w)}\b", norm_text))
+    hits = sum(1 for w in words if _words_pattern((w,)).search(norm_text))
     return hits >= max(1, (len(words) + 1) // 2)
 
 

@@ -120,6 +120,21 @@ class ExecutionTrace:
             )
         return "\n".join(lines)
 
+    def attribute_spend(self, account: CostAccount) -> None:
+        """Adopt the span rollup of this execution.
+
+        Each executed node is billed the LLM requests under its own
+        ``op[i]`` span (never what another query spent on the same
+        context meanwhile), on top of the worker-side spend its entry
+        already carries.
+        """
+        self.cost = account
+        for entry in self.entries:
+            spent = account.operators.get(_op_span_name(entry.index, entry.operation))
+            if spent is not None:
+                entry.llm_cost_usd += spent.cost_usd
+                entry.llm_calls += spent.llm_calls
+
     def total_dead_lettered(self) -> int:
         """Records dead-lettered across all nodes."""
         return sum(entry.dead_lettered for entry in self.entries)
@@ -145,6 +160,12 @@ class ExecutionTrace:
         return []
 
 
+def _op_span_name(index: int, operation: str) -> str:
+    # Unique per plan node, so two operators with the same operation
+    # roll up separately in the CostAccount.
+    return f"op[{index}]:{operation}"
+
+
 #: Error policies the Luna executor understands. ``fail`` aborts the
 #: query on any operator failure (the historical behaviour); ``skip`` and
 #: ``dead_letter`` contain per-record failures inside LLM operators with
@@ -157,14 +178,14 @@ LUNA_ERROR_POLICIES = ("fail", "skip", "dead_letter")
 class _NodeStats:
     """Per-node failure-containment and spend stats, merged from the
     DocSet execution layer and (when a node scattered across the
-    cluster) worker-side counters the parent cost tracker never saw."""
+    cluster) worker-side counters the parent's spans never saw."""
 
     dead_lettered: int = 0
     skipped: int = 0
     #: The node landed a typed partial (deadline-expired cluster shards
     #: absorbed under a non-fatal policy) without per-record counters.
     partial: bool = False
-    #: Worker-process LLM spend (invisible to the parent tracker).
+    #: Worker-process LLM spend (invisible to the parent tracer).
     llm_calls: int = 0
     cost_usd: float = 0.0
 
@@ -225,6 +246,8 @@ class LunaExecutor:
         tracer = getattr(self.context, "tracer", None)
         results: Dict[int, Any] = {}
         trace = ExecutionTrace()
+        # Run standalone, every op span roots a trace of its own.
+        op_trace_ids: Dict[str, None] = {}
         for index, node in enumerate(plan.nodes):
             inputs = [results[i] for i in node.inputs]
             if completed is not None and index in completed:
@@ -247,23 +270,20 @@ class LunaExecutor:
                     )
                 )
                 continue
-            before = self.context.cost_tracker.summary()
             start = time.perf_counter()
             self._last_plan_stats = None
             self._last_cluster_stats = None
             error: Optional[str] = None
             op_span = None
             if tracer is not None:
-                # op[i] names are unique per plan node, so two operators
-                # with the same operation roll up separately in the
-                # CostAccount.
                 op_span = tracer.start_span(
-                    f"op[{index}]:{node.operation}",
+                    _op_span_name(index, node.operation),
                     kind="operator",
                     operation=node.operation,
                     description=node.description,
                 )
                 trace.trace_id = trace.trace_id or op_span.trace_id
+                op_trace_ids[op_span.trace_id] = None
             try:
                 check_scope()
                 if op_span is not None:
@@ -319,7 +339,6 @@ class LunaExecutor:
                 error = f"{type(exc).__name__}: {exc}"
                 output = inputs[0] if inputs else []
             duration = time.perf_counter() - start
-            after = self.context.cost_tracker.summary()
             if op_span is not None:
                 op_span.set_attributes(
                     records_in=_count_records(inputs[0]) if inputs else 0,
@@ -352,13 +371,19 @@ class LunaExecutor:
                     records_in=_count_records(inputs[0]) if inputs else 0,
                     records_out=_count_records(output),
                     duration_s=duration,
-                    llm_cost_usd=after.cost_usd - before.cost_usd + node_stats.cost_usd,
-                    llm_calls=after.calls - before.calls + node_stats.llm_calls,
+                    llm_cost_usd=node_stats.cost_usd,
+                    llm_calls=node_stats.llm_calls,
                     result_preview=_preview(output),
                     document_ids=_document_ids(output),
                     dead_lettered=node_stats.dead_lettered,
                     skipped=node_stats.skipped,
                     error=error,
+                )
+            )
+        if tracer is not None:
+            trace.attribute_spend(
+                CostAccount.from_spans(
+                    [span for tid in op_trace_ids for span in tracer.trace_spans(tid)]
                 )
             )
         return results[plan.result_node()], trace

@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.plancheck import ensure_valid_plan
 from ..lifecycle.journal import JournalError, QueryJournal, plan_json_fingerprint
-from ..observability.cost import CostAccount
 from ..sycamore.context import SycamoreContext
 from .codegen import generate_code
 from .executor import ExecutionTrace, LunaExecutor
@@ -285,9 +284,6 @@ class Luna:
                 raise
             tracer.finish(query_span)
             trace.trace_id = query_span.trace_id
-            trace.cost = CostAccount.from_spans(
-                tracer.trace_spans(query_span.trace_id)
-            )
             # When nested under a still-open serving span, the trace root
             # has no duration yet; the query span's own wall time is the
             # honest figure either way.
@@ -408,10 +404,8 @@ class Luna:
                 )
                 raise
             tracer.finish(query_span)
-            trace.trace_id = query_span.trace_id
-            trace.cost = CostAccount.from_spans(
-                tracer.trace_spans(query_span.trace_id)
-            )
+            # With every node replayed no operator span names the trace.
+            trace.trace_id = trace.cost.trace_id = query_span.trace_id
             trace.cost.wall_clock_s = query_span.duration_s
         journal.commit(query_id, answer)
         journal.registry.counter("lifecycle.resumes").inc()

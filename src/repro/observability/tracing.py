@@ -28,6 +28,8 @@ Span-propagation rules (the invariants instrumented code relies on):
   reparented; the batch span lives in its own trace.
 * Spans are recorded at start (open spans are visible in snapshots) and
   immutable-by-convention after :meth:`Tracer.finish`.
+* Retention is by trace: once more than ``max_spans`` spans are held,
+  the oldest traces whose root span has finished are evicted whole.
 """
 
 from __future__ import annotations
@@ -49,7 +51,13 @@ _CURRENT_SPAN: "ContextVar[Optional[Span]]" = ContextVar(
 _AMBIENT = object()
 
 
-@dataclass
+#: Default retention bound of a :class:`Tracer`, in spans. A Luna scan
+#: query holds about one span per document, so this keeps the last few
+#: hundred queries over a 200-document index in some 10 MB.
+MAX_RETAINED_SPANS = 16_000
+
+
+@dataclass(slots=True)
 class Span:
     """One timed operation in a trace."""
 
@@ -102,15 +110,19 @@ class Tracer:
 
     Thread-safe. Ids are sequential under a lock, so a single-threaded
     run is fully deterministic and a concurrent run is stable enough to
-    diff. ``max_spans`` bounds memory: past it, new spans are still
-    created and returned (instrumented code never branches) but are not
-    retained; ``dropped_spans`` counts them.
+    diff. ``max_spans`` bounds memory by keeping recent traces: past it,
+    the oldest trace whose root has finished is evicted with all its
+    spans, so the trace of the query that just ran is always complete.
+    A trace whose root is still open is never evicted, which lets one
+    huge query exceed the bound rather than lose its own spans.
+    ``dropped_spans`` counts spans that could not be retained when they
+    were created: late children of a trace that was already evicted.
     """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
-        max_spans: int = 200_000,
+        max_spans: int = MAX_RETAINED_SPANS,
     ):
         self._clock = clock
         self.max_spans = max_spans
@@ -164,12 +176,31 @@ class Tracer:
                 start_s=now,
                 attributes=dict(attributes),
             )
-            if len(self._spans) >= self.max_spans:
-                self.dropped_spans += 1
+            if parent is None:
+                self._traces[trace_id] = [span_id]
+            elif trace_id in self._traces:
+                self._traces[trace_id].append(span_id)
             else:
-                self._spans[span_id] = span
-                self._traces.setdefault(trace_id, []).append(span_id)
+                self.dropped_spans += 1
+                return span
+            self._spans[span_id] = span
+            if len(self._spans) > self.max_spans:
+                self._evict_finished_locked()
         return span
+
+    def _evict_finished_locked(self) -> None:
+        """Evict the oldest traces whose root has finished, down to the bound."""
+        excess = len(self._spans) - self.max_spans
+        finished = []
+        for trace_id, span_ids in self._traces.items():
+            if excess <= 0:
+                break
+            if self._spans[span_ids[0]].end_s is not None:
+                finished.append(trace_id)
+                excess -= len(span_ids)
+        for trace_id in finished:
+            for span_id in self._traces.pop(trace_id):
+                del self._spans[span_id]
 
     def finish(
         self, span: Span, status: str = "ok", error: Optional[str] = None
@@ -230,12 +261,12 @@ class Tracer:
     def spans(self) -> List[Span]:
         """Every retained span, in creation order."""
         with self._lock:
-            return [self._spans[sid] for sid in sorted(self._spans)]
+            return list(self._spans.values())
 
     def trace_ids(self) -> List[str]:
         """All trace ids, in creation order."""
         with self._lock:
-            return sorted(self._traces)
+            return list(self._traces)
 
     def trace_spans(self, trace_id: str) -> List[Span]:
         """The spans of one trace, in creation order."""
@@ -245,7 +276,7 @@ class Tracer:
     def last_trace(self, kind: Optional[str] = None) -> Optional[str]:
         """The most recent trace id (optionally: whose root has ``kind``)."""
         with self._lock:
-            for trace_id in sorted(self._traces, reverse=True):
+            for trace_id in reversed(self._traces):
                 if kind is None:
                     return trace_id
                 root_id = self._traces[trace_id][0]

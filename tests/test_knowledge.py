@@ -1,6 +1,10 @@
 """Tests for the simulated models' world knowledge (concept lexicon etc.)."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.llm import knowledge
 
@@ -37,6 +41,90 @@ class TestConceptMatching:
 
     def test_unknown_concept_false(self):
         assert not knowledge.text_matches_concept("anything", "no_such_concept")
+
+
+def reference_matches(text, concept):
+    """``text_matches_concept`` as first written: every keyword escaped
+    and searched on its own, the text normalised per call."""
+    keywords = knowledge.CONCEPT_KEYWORDS.get(concept)
+    if keywords is None:
+        return False
+    norm = " " + knowledge.normalize(text) + " "
+    for keyword in keywords:
+        if " " in keyword:
+            if keyword in norm:
+                return True
+        elif re.search(rf"\b{re.escape(keyword)}\b", norm):
+            return True
+    return False
+
+
+def reference_condition_holds(condition, text):
+    """``condition_holds`` as first written, over the reference matcher."""
+    norm_condition = knowledge.normalize(condition)
+    negated = any(m in f" {norm_condition} " for m in knowledge._NEGATION_MARKERS)
+    concepts = knowledge.match_concepts(condition)
+    if concepts:
+        combine = any if " or " in norm_condition and len(concepts) > 1 else all
+        result = combine(reference_matches(text, c) for c in concepts)
+    else:
+        words = [
+            w for w in norm_condition.split() if w not in knowledge._STOPWORDS and len(w) > 2
+        ]
+        norm_text = " " + knowledge.normalize(text) + " "
+        hits = sum(1 for w in words if re.search(rf"\b{re.escape(w)}\b", norm_text))
+        result = bool(words) and hits >= max(1, (len(words) + 1) // 2)
+    return (not result) if negated else result
+
+
+CONCEPTS = sorted(knowledge.CONCEPT_KEYWORDS) + ["no_such_concept"]
+CONDITIONS = [
+    "caused by wind",
+    "not caused by weather",
+    "icing or wind",
+    "wind and landing",
+    "fatigue crack",
+    "not a submarine voyage",
+    "revenue of $12.5 rose 4%",
+    "the of",
+]
+#: Keywords whole, in pieces and glued to other letters, in the alphabet
+#: normalize() leaves behind and a little outside it.
+fragments = st.sampled_from(
+    sorted({k for keywords in knowledge.CONCEPT_KEYWORDS.values() for k in keywords})
+) | st.text(alphabet="gustywindcea -.%$'A\n", max_size=8)
+keyword_soup = st.lists(fragments, max_size=10).map(" ".join)
+
+
+class TestCompiledMatcher:
+    def assert_same(self, text):
+        present = knowledge.concepts_in(text)
+        for concept in CONCEPTS:
+            expected = reference_matches(text, concept)
+            assert knowledge.text_matches_concept(text, concept) == expected, concept
+            assert (concept in present) == expected, concept
+        for condition in CONDITIONS:
+            assert knowledge.condition_holds(condition, text) == reference_condition_holds(
+                condition, text
+            ), (condition, text)
+
+    def test_every_concept_on_every_generated_document(self, ntsb_corpus, earnings_corpus):
+        raws = ntsb_corpus[1] + earnings_corpus[1]
+        assert len(raws) == 54
+        matched = set()
+        for raw in raws:
+            self.assert_same(raw.all_text())
+            matched |= knowledge.concepts_in(raw.all_text())
+        # The corpora exercise both domains, not a handful of concepts.
+        assert len(matched) > len(knowledge.CONCEPT_KEYWORDS) // 2
+
+    @given(keyword_soup)
+    def test_every_concept_on_keyword_soup(self, text):
+        self.assert_same(text)
+
+    def test_concepts_in_is_a_set_of_known_concepts(self):
+        assert knowledge.concepts_in("") == frozenset()
+        assert knowledge.concepts_in("a gusty crosswind, then frost") >= {"wind", "icing", "weather"}
 
 
 class TestConditionHolds:

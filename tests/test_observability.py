@@ -8,6 +8,7 @@ arithmetic checked against a hand-computed plan.
 
 import contextvars
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -104,12 +105,79 @@ class TestTracer:
         assert {c.parent_id for c in children} == {parent.span_id}
         assert {c.trace_id for c in children} == {parent.trace_id}
 
-    def test_max_spans_bound(self):
+    def test_max_spans_evicts_oldest_finished_trace(self):
         tracer = Tracer(max_spans=3)
-        for _ in range(5):
-            tracer.finish(tracer.start_span("s", parent=None))
-        assert len(tracer.spans()) == 3
-        assert tracer.dropped_spans == 2
+        roots = [tracer.finish(tracer.start_span(f"s{i}", parent=None)) for i in range(5)]
+        assert [s.name for s in tracer.spans()] == ["s2", "s3", "s4"]
+        assert tracer.trace_ids() == [r.trace_id for r in roots[2:]]
+        assert tracer.trace_spans(roots[0].trace_id) == []
+        assert tracer.get(roots[0].span_id) is None
+        assert tracer.dropped_spans == 0
+
+    def test_eviction_takes_whole_traces_and_spares_open_ones(self):
+        tracer = Tracer(max_spans=4)
+        with tracer.span("open", kind="query") as still_open:
+            tracer.finish(tracer.start_span("child-of-open"))
+            with tracer.span("done", kind="query", parent=None) as done:
+                tracer.finish(tracer.start_span("child-of-done"))
+            # Four retained, at the bound; the fifth span evicts "done"
+            # whole, although "open" is older.
+            with tracer.span("next", kind="query", parent=None):
+                pass
+            assert tracer.trace_spans(done.trace_id) == []
+            assert [s.name for s in tracer.trace_spans(still_open.trace_id)] == [
+                "open", "child-of-open"
+            ]
+            # Nothing finished is left to evict: an open trace may exceed
+            # the bound rather than lose its own spans.
+            for _ in range(6):
+                tracer.finish(tracer.start_span("more"))
+            assert len(tracer.trace_spans(still_open.trace_id)) == 8
+        assert tracer.dropped_spans == 0
+
+    def test_child_of_an_evicted_trace_is_dropped(self):
+        tracer = Tracer(max_spans=1)
+        first = tracer.finish(tracer.start_span("first", parent=None))
+        tracer.finish(tracer.start_span("second", parent=None))
+        late = tracer.start_span("late", parent=first)
+        assert late.trace_id == first.trace_id
+        assert tracer.dropped_spans == 1
+        assert [s.name for s in tracer.spans()] == ["second"]
+
+    def test_eviction_under_contention_keeps_traces_whole(self):
+        tracer = Tracer(max_spans=60)
+
+        def queries(_):
+            for _ in range(150):
+                with tracer.span("q", kind="query", parent=None) as root:
+                    for _ in range(4):
+                        tracer.finish(tracer.start_span("child"))
+                    assert len(tracer.trace_spans(root.trace_id)) == 5
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for done in pool.map(queries, range(6), timeout=60):
+                    assert done is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert tracer.dropped_spans == 0
+        assert len(tracer.spans()) <= 60
+        assert all(len(tracer.trace_spans(t)) == 5 for t in tracer.trace_ids())
+
+    def test_order_survives_ids_wider_than_their_padding(self):
+        tracer = Tracer()
+        tracer._trace_counter = 9_998
+        tracer._span_counter = 999_998
+        spans = [
+            tracer.finish(tracer.start_span(f"q{i}", kind="query", parent=None))
+            for i in range(3)
+        ]
+        assert [s.trace_id for s in spans] == ["t9999", "t10000", "t10001"]
+        assert tracer.spans() == spans
+        assert tracer.trace_ids() == ["t9999", "t10000", "t10001"]
+        assert tracer.last_trace() == tracer.last_trace(kind="query") == "t10001"
 
     def test_trace_spans_and_last_trace(self):
         tracer = Tracer()

@@ -90,7 +90,41 @@ def tables(draw):
     return Table.from_rows(rows, header=draw(st.booleans()))
 
 
+@st.composite
+def spanned_tables(draw):
+    """Non-overlapping cells with row/col spans on a grid with holes:
+    ragged rows, unused trailing slots, possibly no cells at all."""
+    widths = draw(st.lists(st.integers(1, 5), max_size=5))
+    free = {(r, c) for r, width in enumerate(widths) for c in range(width)}
+    cells = []
+    for row, col in sorted(free):
+        if (row, col) not in free or draw(st.booleans()):
+            continue
+        rowspan, colspan = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cell = TableCell(row, col, draw(st.text(max_size=4)), rowspan=rowspan, colspan=colspan)
+        if free.issuperset(cell.covered_slots()):
+            free.difference_update(cell.covered_slots())
+            cells.append(cell)
+    return Table(cells=draw(st.permutations(cells)))
+
+
+def reference_grid(table):
+    """``Table.to_grid`` as first written: every slot through covered_slots()."""
+    grid = [["" for _ in range(table.num_cols)] for _ in range(table.num_rows)]
+    for cell in table.cells:
+        for r, c in cell.covered_slots():
+            grid[r][c] = cell.text
+    return grid
+
+
 class TestTableProperties:
+    @given(spanned_tables())
+    def test_grid_equals_reference(self, table):
+        table.validate()
+        grid = table.to_grid()
+        assert grid == reference_grid(table)
+        assert len({id(row) for row in grid}) == len(grid)
+
     @given(tables())
     def test_grid_dimensions_consistent(self, table):
         grid = table.to_grid()
