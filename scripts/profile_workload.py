@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""cProfile one repeat of a perf-harness workload.
+
+    python3 scripts/profile_workload.py {etl_ingest,query_inproc} [--smoke] [--seed N] [--top N]
+
+Runs the workload's repeat once to warm the process (imports, regex
+caches, thread pools), profiles the next one, and prints the top
+functions by cumulative and by self time. Threads the repeat starts
+(``ReliableLLM``'s batch pool, executor workers) are profiled too: each
+gets a profiler of its own and the tables are merged.
+
+The repeats are built from the pieces ``benchmarks/perf/workloads.py``
+exposes, which this script imports and does not change. cProfile taxes
+every Python call and no native one, so read the output for *where*, and
+measure *how much* with ``benchmarks/perf/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import sys
+import threading
+from pathlib import Path
+from typing import Callable, List, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "perf")]
+
+import workloads  # noqa: E402
+from common import FULL, SMOKE, Sizes  # noqa: E402
+from repro.datagen import (  # noqa: E402
+    build_full_suite,
+    generate_earnings_corpus,
+    generate_ntsb_corpus,
+)
+from repro.luna import Luna  # noqa: E402
+
+
+#: What a workload hands back: one repeat, and what to close after the last.
+Repeat = Tuple[Callable[[], None], Callable[[], None]]
+
+
+def etl_ingest(seed: int, sizes: Sizes) -> Repeat:
+    """A fresh context, warmed on a tenth of the corpus, ingests all of it."""
+    _, ntsb = generate_ntsb_corpus(sizes.etl_ntsb, seed=2 * seed)
+    _, earnings = generate_earnings_corpus(sizes.etl_earnings, seed=2 * seed + 1)
+
+    def repeat() -> None:
+        stack = workloads.build_stack(
+            parallelism=workloads.CPU_BOUND_PARALLELISM, latency_scale=0.0, traced=False
+        )
+        try:
+            stack.ingest(ntsb[: max(1, len(ntsb) // 10)], workloads.NTSB_SCHEMA, "warm-ntsb")
+            stack.ingest(earnings[: max(1, len(earnings) // 10)], workloads.EARNINGS_SCHEMA, "warm-earn")
+            stack.ingest(ntsb, workloads.NTSB_SCHEMA, "ntsb")
+            stack.ingest(earnings, workloads.EARNINGS_SCHEMA, "earnings")
+        finally:
+            stack.ctx.close()
+
+    return repeat, lambda: None
+
+
+def query_inproc(seed: int, sizes: Sizes) -> Repeat:
+    """One pass of the question suite on one long-lived context."""
+    ntsb_records, ntsb = generate_ntsb_corpus(sizes.query_ntsb, seed=2 * seed)
+    earn_records, earnings = generate_earnings_corpus(sizes.query_earnings, seed=2 * seed + 1)
+    stack = workloads.build_stack(
+        parallelism=workloads.CPU_BOUND_PARALLELISM, latency_scale=0.0, traced=False
+    )
+    stack.ingest(ntsb, workloads.NTSB_SCHEMA, "ntsb")
+    stack.ingest(earnings, workloads.EARNINGS_SCHEMA, "earnings")
+    suite = build_full_suite(ntsb_records, earn_records)
+    luna = Luna(stack.ctx)
+
+    def repeat() -> None:
+        workloads._suite_pass(luna, suite)
+
+    return repeat, stack.ctx.close
+
+
+WORKLOADS = {"etl_ingest": etl_ingest, "query_inproc": query_inproc}
+
+
+def profile(repeat: Callable[[], None]) -> pstats.Stats:
+    """Warm with one repeat, then profile the next on every thread."""
+    thread_profiles: List[cProfile.Profile] = []
+
+    def profile_new_thread(*_event: object) -> None:
+        # The first profile event of a thread: hand the thread to a
+        # profiler of its own (enable() replaces this hook there).
+        profiler = cProfile.Profile()
+        thread_profiles.append(profiler)
+        profiler.enable()
+
+    threading.setprofile(profile_new_thread)
+    try:
+        repeat()
+        for profiler in thread_profiles:
+            profiler.clear()  # pool threads that outlive the warm-up
+        main = cProfile.Profile()
+        main.enable()
+        try:
+            repeat()
+        finally:
+            main.disable()
+    finally:
+        threading.setprofile(None)
+    stats = pstats.Stats(main)
+    for profiler in thread_profiles:
+        stats.add(profiler)
+    return stats
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--smoke", action="store_true", help="one tenth of the benchmark's sizes")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--top", type=int, default=30, help="rows per table")
+    args = parser.parse_args()
+
+    repeat, close = WORKLOADS[args.workload](args.seed, SMOKE if args.smoke else FULL)
+    try:
+        stats = profile(repeat)
+    finally:
+        close()
+    stats.strip_dirs()
+    for order in ("cumulative", "tottime"):
+        stats.sort_stats(order).print_stats(args.top)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

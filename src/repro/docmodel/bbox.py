@@ -90,9 +90,24 @@ class BoundingBox:
             return None
         return BoundingBox(x1, y1, x2, y2)
 
+    def intersection_area(self, other: "BoundingBox") -> Optional[float]:
+        """Area of the overlapping region, or ``None`` if the boxes are disjoint.
+
+        Boxes that only touch share an edge or a corner: area ``0.0``, not
+        ``None``. Same arithmetic as ``intersection(other).area``, without
+        building the box — the partitioner asks this per run and region.
+        """
+        x1 = self.x1 if self.x1 > other.x1 else other.x1
+        y1 = self.y1 if self.y1 > other.y1 else other.y1
+        x2 = self.x2 if self.x2 < other.x2 else other.x2
+        y2 = self.y2 if self.y2 < other.y2 else other.y2
+        if x2 < x1 or y2 < y1:
+            return None
+        return (x2 - x1) * (y2 - y1)
+
     def intersects(self, other: "BoundingBox") -> bool:
         """True when the two boxes share any point."""
-        return self.intersection(other) is not None
+        return self.intersection_area(other) is not None
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Return the smallest box containing both boxes."""
@@ -105,10 +120,9 @@ class BoundingBox:
 
     def iou(self, other: "BoundingBox") -> float:
         """Intersection over union, the detection-evaluation overlap metric."""
-        inter = self.intersection(other)
-        if inter is None:
+        inter_area = self.intersection_area(other)
+        if inter_area is None:
             return 0.0
-        inter_area = inter.area
         union_area = self.area + other.area - inter_area
         if union_area <= 0.0:
             # Two coincident degenerate boxes overlap perfectly by convention.
@@ -130,10 +144,11 @@ class BoundingBox:
 
     def overlap_fraction(self, other: "BoundingBox") -> float:
         """Fraction of *this* box's area covered by ``other`` (0 for degenerate)."""
-        inter = self.intersection(other)
-        if inter is None or self.area <= 0.0:
+        inter_area = self.intersection_area(other)
+        area = self.area
+        if inter_area is None or area <= 0.0:
             return 0.0
-        return inter.area / self.area
+        return inter_area / area
 
     def expand(self, margin: float) -> "BoundingBox":
         """Grow (or shrink, for negative margin) the box on every side.

@@ -13,11 +13,13 @@ stage, which is what lets Sycamore blur the ETL/analytics line.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from .elements import Element, new_id
+from .raw import RawDocument
 
 
 @dataclass
@@ -33,6 +35,16 @@ class Node:
     children: List[Any] = field(default_factory=list)  # Node | Element
     properties: Dict[str, Any] = field(default_factory=dict)
     node_id: str = field(default_factory=new_id)
+
+    def copy(self) -> "Node":
+        """The subtree cloned: same ids, nodes and elements of its own."""
+        return Node(
+            label=self.label,
+            title=self.title,
+            children=[child.copy() for child in self.children],
+            properties=dict(self.properties),
+            node_id=self.node_id,
+        )
 
     def to_dict(self) -> dict:
         """Serialise to a JSON-compatible dictionary."""
@@ -72,6 +84,12 @@ class Document:
     unparsed content (the just-read-a-PDF state); ``root`` holds the parsed
     semantic tree. ``properties`` carries extracted metadata — the target
     of ``extract_properties`` and the input to analytic transforms.
+
+    A document just read from an in-memory :class:`RawDocument`
+    (:meth:`from_raw`) holds that object, not its encoding: ``binary``
+    encodes it each time something asks for the bytes (``to_dict``,
+    pickling), and :meth:`raw_document` hands it to the partitioner as it
+    is. A document read as bytes is parsed there, once.
     """
 
     doc_id: str = field(default_factory=new_id)
@@ -145,8 +163,20 @@ class Document:
     # ------------------------------------------------------------------
 
     def copy(self) -> "Document":
-        """Structural copy safe to mutate without aliasing the original."""
-        return Document.from_dict(self.to_dict())
+        """Structural copy safe to mutate without aliasing the original.
+
+        Raw content is immutable by contract and shared, not copied.
+        """
+        clone = Document(
+            doc_id=self.doc_id,
+            binary=self._binary,
+            text=self.text,
+            root=self.root.copy() if self.root is not None else None,
+            properties=copy.deepcopy(self.properties),
+            parent_id=self.parent_id,
+        )
+        clone._raw = self._raw
+        return clone
 
     def derive(self, **overrides: Any) -> "Document":
         """A new document derived from this one (new id, parent lineage set)."""
@@ -158,8 +188,44 @@ class Document:
         return child
 
     # ------------------------------------------------------------------
+    # Raw content
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def from_raw(cls, raw: RawDocument) -> "Document":
+        """The just-read state of an in-memory raw document (§5.1)."""
+        document = cls(doc_id=raw.doc_id)
+        document._raw = raw
+        return document
+
+    def raw_document(self) -> Optional[RawDocument]:
+        """The raw document this one holds or encodes; ``None`` without
+        raw content. The caller must not mutate it."""
+        if self._raw is not None:
+            return self._raw
+        if self._binary is not None:
+            return RawDocument.from_bytes(self._binary)
+        return None
+
+    # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        # What crosses a process boundary is the declared fields, raw
+        # content as bytes.
+        return {
+            "doc_id": self.doc_id,
+            "binary": self.binary,
+            "text": self.text,
+            "root": self.root,
+            "properties": self.properties,
+            "parent_id": self.parent_id,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def to_dict(self) -> dict:
         """Serialise to a JSON-compatible dictionary."""
@@ -168,8 +234,9 @@ class Document:
             "text": self.text,
             "properties": self.properties,
         }
-        if self.binary is not None:
-            data["binary"] = self.binary.hex()
+        binary = self.binary
+        if binary is not None:
+            data["binary"] = binary.hex()
         if self.root is not None:
             data["root"] = self.root.to_dict()
         if self.parent_id is not None:
@@ -221,6 +288,25 @@ class Document:
     def from_text(cls, text: str, properties: Optional[Dict[str, Any]] = None) -> "Document":
         """Single-blob text document (the pre-partitioning state for text files)."""
         return cls(text=text, properties=dict(properties or {}))
+
+
+def _get_binary(self: Document) -> Optional[bytes]:
+    if self._binary is None and self._raw is not None:
+        return self._raw.to_bytes()
+    return self._binary
+
+
+def _set_binary(self: Document, value: Optional[bytes]) -> None:
+    self._binary = value
+    self._raw = None
+
+
+# ``binary`` stays a declared field, so it keeps its place in the
+# generated ``__init__``, ``__eq__`` and ``__repr__``; a property in the
+# class body would have been taken for the field's default.
+Document.binary = property(  # type: ignore[assignment]
+    _get_binary, _set_binary, doc="Raw unparsed content as bytes, or ``None``."
+)
 
 
 def _iter_elements(node: Node) -> Iterator[Element]:

@@ -157,7 +157,7 @@ class TableElement(Element):
 
     def _copy_kwargs(self) -> Dict[str, Any]:
         kwargs = super()._copy_kwargs()
-        kwargs["table"] = Table.from_dict(self.table.to_dict())
+        kwargs["table"] = self.table.copy()
         return kwargs
 
     def _extra_dict(self) -> Dict[str, Any]:

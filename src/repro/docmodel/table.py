@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from .bbox import BoundingBox
@@ -233,6 +233,10 @@ class Table:
             if record[matched_col].strip() == value.strip():
                 results.append(record[matched_target])
         return results
+
+    def copy(self) -> "Table":
+        """A table with cells of its own (boxes, being immutable, are shared)."""
+        return Table(cells=[replace(cell) for cell in self.cells], caption=self.caption)
 
     def to_dict(self) -> dict:
         """Serialise to a JSON-compatible dictionary."""

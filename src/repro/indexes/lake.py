@@ -59,12 +59,16 @@ class DataLake:
     def __contains__(self, doc_id: str) -> bool:
         return self._path_for(doc_id).exists()
 
-    def read(self, doc_id: str) -> RawDocument:
-        """Return the cached records."""
+    def read_bytes(self, doc_id: str) -> bytes:
+        """One stored document as the bytes on disk, unparsed."""
         path = self._path_for(doc_id)
         if not path.exists():
             raise KeyError(f"no raw document {doc_id!r} in lake {self.root}")
-        return RawDocument.from_bytes(path.read_bytes())
+        return path.read_bytes()
+
+    def read(self, doc_id: str) -> RawDocument:
+        """Load and parse one stored document by id."""
+        return RawDocument.from_bytes(self.read_bytes(doc_id))
 
     def scan(self) -> Iterator[RawDocument]:
         """Lazily yield every raw document, sorted by id."""

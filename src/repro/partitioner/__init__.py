@@ -4,6 +4,7 @@ table structure recovery, OCR, and the naive-extraction baseline.
 
 from .ocr import ACCURATE_OCR, POOR_OCR, OcrConfig, SimulatedOCR
 from .partitioner import ArynPartitioner, NaiveTextPartitioner, build_section_tree
+from .runs import RunIndex
 from .segmentation import (
     ARYN_DETECTOR,
     CLOUD_BASELINE_DETECTOR,
@@ -32,6 +33,7 @@ __all__ = [
     "NaiveTextPartitioner",
     "OcrConfig",
     "POOR_OCR",
+    "RunIndex",
     "SegmentationModel",
     "SimulatedOCR",
     "TableModelConfig",

@@ -15,6 +15,7 @@ with no structure, no table semantics, and no OCR.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -26,6 +27,7 @@ from ..docmodel.elements import Element, ImageElement, TableElement, make_elemen
 from ..docmodel.raw import RawBox, RawDocument, RawPage
 from ..docmodel.table import Table
 from .ocr import ACCURATE_OCR, OcrConfig, SimulatedOCR
+from .runs import RunIndex
 from .segmentation import ARYN_DETECTOR, Detection, DetectorConfig, SegmentationModel
 from .tables import (
     HIGH_FIDELITY_TABLE_MODEL,
@@ -64,15 +66,18 @@ class ArynPartitioner:
     # ------------------------------------------------------------------
 
     def partition(self, source: "RawDocument | Document") -> Document:
-        """Partition a raw document (or a Document holding raw binary)."""
+        """Partition a raw document (or a Document holding raw content).
+
+        The result is a new Document; ``source`` is left as it was.
+        """
         start = time.perf_counter()
-        raw, base = self._coerce(source)
+        raw, document = _raw_and_shell(source)
         elements: List[Element] = []
         for page_number, page in enumerate(raw.pages):
             page_key = f"{raw.doc_id}:{page_number}"
             detections = self._segmentation.detect(page, page_key=page_key)
             page_elements = self._detections_to_elements(
-                detections, page, page_number, page_key
+                detections, page, RunIndex(page.text_runs()), page_number, page_key
             )
             elements.extend(page_elements)
         if self.merge_tables:
@@ -85,9 +90,6 @@ class ArynPartitioner:
         registry.histogram("partitioner.partition_s").observe(
             time.perf_counter() - start
         )
-        document = base if base is not None else Document()
-        document.doc_id = raw.doc_id
-        document.binary = None
         document.root = root
         document.properties.setdefault("path", raw.source_path)
         document.properties["num_pages"] = raw.num_pages()
@@ -95,21 +97,11 @@ class ArynPartitioner:
 
     # ------------------------------------------------------------------
 
-    def _coerce(self, source: "RawDocument | Document") -> Tuple[RawDocument, Optional[Document]]:
-        if isinstance(source, RawDocument):
-            return source, None
-        if isinstance(source, Document):
-            if source.binary is None:
-                raise ValueError(
-                    "partition() on a Document requires raw binary content"
-                )
-            return RawDocument.from_bytes(source.binary), source
-        raise TypeError(f"cannot partition {type(source).__name__}")
-
     def _detections_to_elements(
         self,
         detections: List[Detection],
         page: RawPage,
+        runs: RunIndex,
         page_number: int,
         page_key: str,
     ) -> List[Element]:
@@ -118,7 +110,7 @@ class ArynPartitioner:
         for det_index, detection in enumerate(detections):
             region = _best_region(detection.bbox, page)
             element = self._build_element(
-                detection, region, page, page_number, f"{page_key}:{det_index}"
+                detection, region, runs, page_number, f"{page_key}:{det_index}"
             )
             if element is None:
                 continue
@@ -132,7 +124,7 @@ class ArynPartitioner:
         self,
         detection: Detection,
         region: Optional[RawBox],
-        page: RawPage,
+        runs: RunIndex,
         page_number: int,
         key: str,
     ) -> Optional[Element]:
@@ -141,7 +133,7 @@ class ArynPartitioner:
             table = None
             continues = False
             if region is not None and region.table is not None:
-                table = self._tables.recover(region, page, region_key=key)
+                table = self._tables.recover(region, runs, region_key=key)
                 continues = region.continues_previous
             if table is None:
                 # Detected a table where cell structure could not be
@@ -178,7 +170,7 @@ class ArynPartitioner:
         if region is not None and region.scanned:
             text = self._ocr.read_region(region, region_key=key)
         else:
-            text = _text_in_box(detection.bbox, page)
+            text = _text_in_box(detection.bbox, runs)
         if not text.strip():
             return None
         return make_element(label, text=text, bbox=detection.bbox, page=page_number)
@@ -212,6 +204,27 @@ class ArynPartitioner:
         return result
 
 
+def _raw_and_shell(source: "RawDocument | Document") -> Tuple[RawDocument, Document]:
+    """What to parse, and a new Document to put the tree in.
+
+    The shell takes the raw document's id and, from a source Document,
+    its text, properties and lineage; it holds no raw content.
+    """
+    if isinstance(source, RawDocument):
+        return source, Document(doc_id=source.doc_id)
+    if isinstance(source, Document):
+        raw = source.raw_document()
+        if raw is None:
+            raise ValueError("partition() on a Document requires raw binary content")
+        return raw, Document(
+            doc_id=raw.doc_id,
+            text=source.text,
+            properties=copy.deepcopy(source.properties),
+            parent_id=source.parent_id,
+        )
+    raise TypeError(f"cannot partition {type(source).__name__}")
+
+
 def _best_region(bbox: BoundingBox, page: RawPage) -> Optional[RawBox]:
     """The ground region best overlapping a detection, if any."""
     best: Optional[RawBox] = None
@@ -226,19 +239,14 @@ def _best_region(bbox: BoundingBox, page: RawPage) -> Optional[RawBox]:
     return best
 
 
-def _text_in_box(bbox: BoundingBox, page: RawPage, margin: float = 4.0) -> str:
+def _text_in_box(bbox: BoundingBox, runs: RunIndex, margin: float = 4.0) -> str:
     """All machine-readable text geometrically inside a detection box.
 
     The box is padded by a small margin first: detector jitter routinely
     clips the first/last line of a region, and production partitioners
     pad for exactly this reason.
     """
-    padded = bbox.expand(margin)
-    parts = []
-    for run in page.text_runs():
-        if run.bbox.overlap_fraction(padded) >= 0.5:
-            parts.append(run.text)
-    return "\n".join(parts)
+    return "\n".join(runs.texts_in(bbox.expand(margin)))
 
 
 def build_section_tree(elements: List[Element]) -> Node:
@@ -279,23 +287,14 @@ class NaiveTextPartitioner:
     chunk_chars: int = 1200
 
     def partition(self, source: "RawDocument | Document") -> Document:
-        """Parse a raw document into a semantic Document tree."""
-        if isinstance(source, Document):
-            if source.binary is None:
-                raise ValueError("partition() on a Document requires raw binary")
-            raw = RawDocument.from_bytes(source.binary)
-            base: Optional[Document] = source
-        else:
-            raw, base = source, None
+        """Parse a raw document into a new, flat Document of text chunks."""
+        raw, document = _raw_and_shell(source)
         text = raw.all_text()
         elements = []
-        for page_number, start in enumerate(range(0, max(len(text), 1), self.chunk_chars)):
+        for start in range(0, max(len(text), 1), self.chunk_chars):
             chunk = text[start : start + self.chunk_chars]
             if chunk.strip():
                 elements.append(make_element("Text", text=chunk, page=None))
-        document = base if base is not None else Document()
-        document.doc_id = raw.doc_id
-        document.binary = None
-        document.root = Node(label="document", children=list(elements))
+        document.root = Node(label="document", children=elements)
         document.properties["num_pages"] = raw.num_pages()
         return document

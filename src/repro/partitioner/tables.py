@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..docmodel.bbox import BoundingBox
-from ..docmodel.raw import RawBox, RawPage, RawTextRun
+from ..docmodel.raw import RawBox
 from ..docmodel.table import Table, TableCell, merge_tables
+from .runs import RunIndex
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class TableStructureModel:
     def recover(
         self,
         region: RawBox,
-        page: RawPage,
+        runs: RunIndex,
         region_key: str = "",
     ) -> Optional[Table]:
         """Recover cell structure for a table region.
@@ -64,8 +65,8 @@ class TableStructureModel:
         The simulated model reads the region's latent cell grid (standing
         in for visual cell detection), drops/merges cells per its noise
         config, then fills each surviving cell's text by intersecting its
-        bounding box with the page's text runs — the real PDFMiner-style
-        step.
+        bounding box with the page's text runs (``runs``, the page's
+        :class:`RunIndex`) — the real PDFMiner-style step.
         """
         if region.table is None:
             return None
@@ -73,7 +74,6 @@ class TableStructureModel:
         source = region.table
         cells: List[TableCell] = []
         merged_rows = self._rows_to_merge(source, rng)
-        runs = [run for run in page.text_runs()]
         for cell in source.cells:
             if cell.bbox is None:
                 continue
@@ -110,13 +110,9 @@ class TableStructureModel:
         return merged
 
 
-def extract_cell_text(cell_bbox: BoundingBox, runs: List[RawTextRun]) -> str:
+def extract_cell_text(cell_bbox: BoundingBox, runs: RunIndex) -> str:
     """Text of all runs whose area lies mostly within the cell box."""
-    parts = []
-    for run in runs:
-        if run.bbox.overlap_fraction(cell_bbox) >= 0.5:
-            parts.append(run.text)
-    return " ".join(parts)
+    return " ".join(runs.texts_in(cell_bbox))
 
 
 def _resolve_collisions(cells: List[TableCell]) -> List[TableCell]:

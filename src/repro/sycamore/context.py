@@ -175,13 +175,13 @@ class _Readers:
         """DocSet over raw documents, as single-node binary documents.
 
         This is the just-read-a-PDF state of §5.1: each document is one
-        node whose content is the raw binary, awaiting ``partition``.
+        node whose content is the raw binary, awaiting ``partition``. The
+        raw documents are held as given (and must not be mutated while
+        the DocSet is in use); their bytes are encoded only on demand.
         """
         from .docset import DocSet
 
-        documents = [
-            Document(doc_id=raw.doc_id, binary=raw.to_bytes()) for raw in raw_documents
-        ]
+        documents = [Document.from_raw(raw) for raw in raw_documents]
         return DocSet.from_documents(self._context, documents)
 
     def docstore(self, store: DocStore) -> "DocSet":
@@ -220,8 +220,8 @@ class _Readers:
             lake = DataLake(Path(lake))
 
         def read_lake():
-            for raw in lake.scan():
-                yield Document(doc_id=raw.doc_id, binary=raw.to_bytes())
+            for doc_id in lake.doc_ids():
+                yield Document(doc_id=doc_id, binary=lake.read_bytes(doc_id))
 
         return DocSet(self._context, Plan.source(read_lake, name="read_lake"))
 

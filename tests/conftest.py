@@ -98,6 +98,24 @@ def _leak_sanitizer():
         )
 
 
+def without_generated_ids(document):
+    """``document.to_dict()`` with the uuids the partitioner draws for
+    elements and nodes blanked: what two partitionings of one raw
+    document must agree on."""
+
+    def scrub(value):
+        if isinstance(value, dict):
+            return {
+                key: "-" if key in ("element_id", "node_id") else scrub(item)
+                for key, item in value.items()
+            }
+        if isinstance(value, list):
+            return [scrub(item) for item in value]
+        return value
+
+    return scrub(document.to_dict())
+
+
 @pytest.fixture(scope="session")
 def ntsb_corpus():
     """(records, raw_documents) — 30 synthetic NTSB reports."""

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.docmodel import BoundingBox, reading_order, union_all
 
@@ -150,6 +152,62 @@ class TestQueries:
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(4, 5, 6, 7)
         assert a.distance_to(b) == pytest.approx(math.hypot(3, 4))
+
+
+def reference_iou(a, b):
+    """``iou`` as first written: through the box ``intersection()`` builds."""
+    inter = a.intersection(b)
+    if inter is None:
+        return 0.0
+    inter_area = inter.area
+    union_area = a.area + b.area - inter_area
+    if union_area <= 0.0:
+        return 1.0 if a == b else 0.0
+    return inter_area / union_area
+
+
+def reference_overlap_fraction(a, b):
+    """``overlap_fraction`` as first written, likewise."""
+    inter = a.intersection(b)
+    if inter is None or a.area <= 0.0:
+        return 0.0
+    return inter.area / a.area
+
+
+#: A small grid of coordinates, so that generated boxes touch, coincide
+#: and split each other exactly far more often than floats drawn at
+#: large would, plus arbitrary floats for the rounding.
+grid_coords = st.integers(0, 6).map(float) | st.floats(0, 6, allow_nan=False)
+
+
+@st.composite
+def grid_boxes(draw):
+    x1, x2 = sorted((draw(grid_coords), draw(grid_coords)))
+    y1, y2 = sorted((draw(grid_coords), draw(grid_coords)))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+class TestArithmeticOverlap:
+    """``iou``/``overlap_fraction`` compute the intersection's area
+    without building it; the results are the same floats as before."""
+
+    @given(grid_boxes(), grid_boxes())
+    @example(BoundingBox(1, 1, 1, 1), BoundingBox(1, 1, 1, 1))  # coincident points
+    @example(BoundingBox(1, 0, 1, 4), BoundingBox(1, 0, 1, 4))  # coincident segments
+    @example(BoundingBox(1, 0, 1, 4), BoundingBox(1, 2, 1, 6))  # overlapping segments
+    @example(BoundingBox(0, 0, 2, 2), BoundingBox(2, 2, 4, 4))  # touch at a corner
+    @example(BoundingBox(0, 0, 2, 2), BoundingBox(1, 0, 3, 2))  # split 50/50
+    def test_same_as_intersection_based(self, a, b):
+        assert a.iou(b) == reference_iou(a, b)
+        assert a.overlap_fraction(b) == reference_overlap_fraction(a, b)
+        inter = a.intersection(b)
+        assert a.intersection_area(b) == (None if inter is None else inter.area)
+        assert a.intersects(b) == (inter is not None)
+
+    def test_touching_is_zero_not_disjoint(self):
+        a = BoundingBox(0, 0, 1, 1)
+        assert a.intersection_area(BoundingBox(1, 0, 2, 1)) == 0.0
+        assert a.intersection_area(BoundingBox(1.5, 0, 2, 1)) is None
 
 
 class TestReadingOrder:

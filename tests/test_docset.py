@@ -4,8 +4,9 @@ import pytest
 
 from repro.docmodel import Document, Element
 from repro.indexes import DocStore, GraphStore
-from repro.partitioner import ArynPartitioner
+from repro.partitioner import ArynPartitioner, NaiveTextPartitioner
 from repro.sycamore import SycamoreContext
+from tests.conftest import without_generated_ids
 
 
 def docs_with(values):
@@ -177,6 +178,22 @@ class TestStructuralTransforms:
         docs = ds.take_all()
         assert all(d.binary is None for d in docs)
         assert all(len(d.elements) > 3 for d in docs)
+
+    @pytest.mark.parametrize("partitioner", [ArynPartitioner(seed=0), NaiveTextPartitioner()])
+    def test_partitioned_docset_runs_twice(self, ctx, ntsb_corpus, partitioner):
+        # partition() used to strip the binary off its input, so a second
+        # execution found nothing to parse.
+        _, raws = ntsb_corpus
+        source = ctx.read.raw(raws[:3])
+        ds = source.partition(partitioner)
+        first, second = ds.take_all(), ds.take_all()
+        assert [without_generated_ids(d) for d in first] == [
+            without_generated_ids(d) for d in second
+        ]
+        assert all(d.root is not None for d in first)
+        for read, raw in zip(source.take_all(), raws):
+            assert read.binary == raw.to_bytes()
+            assert read.root is None
 
     def test_explode_inherits_properties(self, ctx):
         doc = Document.from_elements(

@@ -1,7 +1,10 @@
 """Unit tests for Document, Node, and Element types."""
 
+import pickle
+
 import pytest
 
+from repro.datagen import generate_ntsb_corpus
 from repro.docmodel import (
     BoundingBox,
     Document,
@@ -9,10 +12,13 @@ from repro.docmodel import (
     Element,
     ImageElement,
     Node,
+    RawDocument,
     Table,
     TableElement,
     make_element,
 )
+from repro.partitioner import ArynPartitioner
+from repro.sycamore import SycamoreContext
 
 
 class TestElement:
@@ -182,3 +188,58 @@ class TestDocumentSerde:
         assert child.parent_id == doc.doc_id
         assert child.doc_id != doc.doc_id
         assert child.text == "y"
+
+
+class TestJustReadDocument:
+    """A document read from an in-memory raw document holds the object:
+    bytes on demand, parsed at most once."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return generate_ntsb_corpus(1, seed=9)[1][0]
+
+    def test_binary_is_encoded_when_asked(self, raw):
+        doc = Document.from_raw(raw)
+        assert doc.doc_id == raw.doc_id
+        assert doc.raw_document() is raw
+        assert doc.binary == raw.to_bytes()
+        assert doc.to_dict()["binary"] == raw.to_bytes().hex()
+        assert doc == Document(doc_id=raw.doc_id, binary=raw.to_bytes())
+
+    def test_bytes_only_document_is_parsed_by_raw_document(self, raw):
+        doc = Document(doc_id=raw.doc_id, binary=raw.to_bytes())
+        assert doc.raw_document() == raw
+        assert Document.from_text("no raw content").raw_document() is None
+
+    def test_assigning_binary_replaces_the_raw_document(self, raw):
+        doc = Document.from_raw(raw)
+        doc.binary = b"other"
+        assert doc.binary == b"other"
+        doc.binary = None
+        assert doc.binary is None and doc.raw_document() is None
+
+    def test_pickle_and_copy_carry_the_content(self, raw):
+        doc = Document.from_raw(raw)
+        restored = pickle.loads(pickle.dumps(doc))
+        assert restored.binary == raw.to_bytes()
+        assert restored == doc
+        assert doc.copy().raw_document() is raw
+        assert doc.derive().binary == raw.to_bytes()
+
+    def test_read_raw_then_partition_encodes_and_parses_nothing(self, raw, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("read.raw(...).partition(...) serialised a raw document")
+
+        monkeypatch.setattr(RawDocument, "to_bytes", refuse)
+        monkeypatch.setattr(RawDocument, "from_bytes", refuse)
+        with SycamoreContext(parallelism=1) as ctx:
+            (doc,) = ctx.read.raw([raw]).partition(ArynPartitioner(seed=0)).take_all()
+        assert doc.elements
+
+    def test_partitioned_document_holds_no_raw_content(self, raw):
+        doc = ArynPartitioner(seed=0).partition(Document.from_raw(raw))
+        assert doc.binary is None and doc.raw_document() is None
+        # On the wire it is the declared fields and nothing else.
+        assert list(doc.__getstate__()) == [
+            "doc_id", "binary", "text", "root", "properties", "parent_id"
+        ]

@@ -5,11 +5,12 @@ import pytest
 
 from repro.datagen import generate_earnings_corpus, generate_ntsb_corpus
 from repro.datagen.earnings import build_market_database
-from repro.docmodel import Document
+from repro.docmodel import Document, RawDocument
 from repro.indexes import DataLake, GraphStore
 from repro.luna import Luna
 from repro.partitioner import ArynPartitioner
 from repro.sycamore import SycamoreContext
+from tests.conftest import without_generated_ids
 
 
 class TestDataLake:
@@ -51,6 +52,24 @@ class TestDataLake:
         docs = ds.take(2)  # laziness: only pulls what it needs
         assert len(docs) == 2
         assert docs[0].elements
+
+    def test_lake_ingest_same_as_raw_ingest(self, tmp_path, ntsb_corpus, monkeypatch):
+        _, raws = ntsb_corpus
+        raws = sorted(raws[:5], key=lambda raw: raw.doc_id)  # the lake's order
+        lake = DataLake(tmp_path / "lake")
+        lake.write_many(raws)
+        parses = []
+        from_bytes = RawDocument.from_bytes
+        monkeypatch.setattr(
+            RawDocument, "from_bytes", lambda payload: parses.append(1) or from_bytes(payload)
+        )
+        ctx = SycamoreContext(parallelism=1)
+        from_lake = ctx.read.lake(lake).partition(ArynPartitioner(seed=0)).take_all()
+        assert len(parses) == len(raws)  # each file parsed once, in the partitioner
+        from_raw = ctx.read.raw(raws).partition(ArynPartitioner(seed=0)).take_all()
+        assert [without_generated_ids(d) for d in from_lake] == [
+            without_generated_ids(d) for d in from_raw
+        ]
 
     def test_context_accepts_path(self, tmp_path, ntsb_corpus):
         _, raws = ntsb_corpus

@@ -18,6 +18,7 @@ from repro.partitioner import (
     LOW_FIDELITY_TABLE_MODEL,
     NaiveTextPartitioner,
     POOR_OCR,
+    RunIndex,
     SegmentationModel,
     SimulatedOCR,
     TableStructureModel,
@@ -110,7 +111,7 @@ class TestTableRecovery:
         page = self._table_page()
         region = next(b for b in page.boxes if b.label == "Table")
         model = TableStructureModel(HIGH_FIDELITY_TABLE_MODEL, seed=0)
-        table = model.recover(region, page, region_key="k")
+        table = model.recover(region, RunIndex(page.text_runs()), region_key="k")
         assert table.to_records() == [
             {"Name": "bolt", "Qty": "4"},
             {"Name": "nut", "Qty": "8"},
@@ -123,13 +124,14 @@ class TestTableRecovery:
         low = TableStructureModel(LOW_FIDELITY_TABLE_MODEL, seed=3)
         # Measure over many seeds: low fidelity must lose strictly more text.
         high_cells = low_cells = 0
+        runs = RunIndex(page.text_runs())
         for seed in range(30):
             high_cells += len(
                 TableStructureModel(HIGH_FIDELITY_TABLE_MODEL, seed=seed)
-                .recover(region, page, "k").cells
+                .recover(region, runs, "k").cells
             )
             recovered = TableStructureModel(LOW_FIDELITY_TABLE_MODEL, seed=seed).recover(
-                region, page, "k"
+                region, runs, "k"
             )
             low_cells += len(recovered.cells) if recovered else 0
         assert low_cells < high_cells
@@ -139,14 +141,14 @@ class TestTableRecovery:
         region = next(b for b in page.boxes if b.label == "Page-footer")
         assert region.table is None
         model = TableStructureModel()
-        assert model.recover(region, page) is None
+        assert model.recover(region, RunIndex(page.text_runs())) is None
 
     def test_extract_cell_text_geometry(self):
         runs = [
             RawTextRun("inside", BoundingBox(1, 1, 5, 3)),
             RawTextRun("outside", BoundingBox(50, 50, 60, 55)),
         ]
-        assert extract_cell_text(BoundingBox(0, 0, 10, 10), runs) == "inside"
+        assert extract_cell_text(BoundingBox(0, 0, 10, 10), RunIndex(runs)) == "inside"
 
 
 class TestMergeContinuation:

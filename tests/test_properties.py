@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
 import json
 import math
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docmodel import BoundingBox, Document, Element, Table, TableCell
+from repro.datagen import generate_earnings_corpus, generate_ntsb_corpus
+from repro.docmodel import BoundingBox, Document, Element, Node, Table, TableCell, TableElement
 from repro.embedding import HashingEmbedder
 from repro.execution import Executor, Plan
 from repro.indexes import KeywordIndex, VectorIndex
 from repro.llm import count_tokens, repair_json, render_task_prompt, parse_task_prompt, truncate_to_tokens
 from repro.llm.errors import MalformedOutputError
 from repro.luna import evaluate, MathEvaluationError
+from repro.partitioner import ArynPartitioner
 from repro.sycamore.aggregates import aggregate_field, sort_documents, top_k_values
 
 # ----------------------------------------------------------------------
@@ -172,6 +175,58 @@ class TestDocumentProperties:
         doc = Document.from_elements([Element(text=t) for t in texts])
         restored = Document.from_json(doc.to_json())
         assert [e.text for e in restored.elements] == texts
+
+
+@functools.lru_cache(maxsize=None)
+def _partitioned_corpus():
+    raws = generate_ntsb_corpus(6, seed=31)[1] + generate_earnings_corpus(6, seed=32)[1]
+    partitioner = ArynPartitioner(seed=0)
+    return [partitioner.partition(raw) for raw in raws]
+
+
+@st.composite
+def partitioned_documents(draw):
+    """A partitioned NTSB or earnings report (sections, tables, pictures)
+    carrying generated properties on the document and on one node."""
+    doc = draw(st.sampled_from(_partitioned_corpus())).copy()
+    keys = st.text(min_size=1, max_size=8)
+    doc.properties.update(draw(st.dictionaries(keys, json_values, max_size=4)))
+    nodes = [n for n in doc.walk() if isinstance(n, Node)]
+    draw(st.sampled_from(nodes)).properties.update(draw(st.dictionaries(keys, json_values, max_size=2)))
+    return doc
+
+
+class TestDocumentCopyProperties:
+    @given(partitioned_documents())
+    @settings(max_examples=40)
+    def test_copy_serialises_the_same(self, doc):
+        clone = doc.copy()
+        assert clone.to_dict() == doc.to_dict()
+        assert clone is not doc and clone.root is not doc.root
+
+    @given(partitioned_documents(), json_values)
+    @settings(max_examples=40)
+    def test_mutating_the_copy_leaves_the_original(self, doc, value):
+        before = json.dumps(doc.to_dict(), sort_keys=True)
+        clone = doc.copy()
+        clone.properties["added"] = value
+        for held in clone.properties.values():
+            if isinstance(held, (list, dict)):
+                held.clear()
+        for node in clone.walk():
+            node.properties["touched"] = True
+            if isinstance(node, Node):
+                node.title += "!"
+                node.children.reverse()
+                node.children.append(Element(text="appended"))
+            else:
+                node.text = "rewritten"
+            if isinstance(node, TableElement):
+                for cell in node.table.cells:
+                    cell.text = "x"
+                node.table.cells.pop()
+                node.table.caption = "changed"
+        assert json.dumps(doc.to_dict(), sort_keys=True) == before
 
 
 # ----------------------------------------------------------------------
