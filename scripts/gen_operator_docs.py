@@ -7,6 +7,9 @@ the planner, optimizer and cluster layers consult at runtime:
 * :data:`repro.luna.operators.OPERATOR_SPECS` — required params, arity;
 * :data:`repro.luna.planner.OPERATOR_DOCS` — the one-line documentation
   that goes into the planner prompt;
+* :data:`repro.luna.lowering.LOWERING` — the DocSet call that runs the
+  operator, rendered by handing the entry its parameter names (an
+  operator without a lowering fails the run);
 * :data:`repro.luna.operators.SHARDABLE_OPERATIONS` — which operators
   the cluster layer may scatter across workers;
 * :data:`repro.luna.operators.CASCADE_ELIGIBLE_OPERATIONS` — which the
@@ -28,6 +31,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.luna.codegen import SCRIPT_SCOPE, Expr  # noqa: E402
+from repro.luna.lowering import lower  # noqa: E402
 from repro.luna.operators import (  # noqa: E402
     CASCADE_ELIGIBLE_OPERATIONS,
     OPERATOR_SPECS,
@@ -48,7 +53,8 @@ HEADER = """\
 Every logical-plan operator Luna's planner may emit, with the
 properties the rest of the system keys off. The table is generated
 from the runtime registries in `src/repro/luna/operators.py`,
-`src/repro/luna/planner.py` and `src/repro/optimizer/costmodel.py` by
+`src/repro/luna/lowering.py`, `src/repro/luna/planner.py` and
+`src/repro/optimizer/costmodel.py` by
 `scripts/gen_operator_docs.py`; see [docs/OPTIMIZER.md](OPTIMIZER.md)
 for how the optimizer uses the cost columns and
 [docs/ARCHITECTURE.md](ARCHITECTURE.md) for where operators sit in the
@@ -58,9 +64,13 @@ Column key:
 
 * **Arity** — number of plan inputs the operator consumes (`0` =
   source, `+` = one or more).
-* **Shardable** — the cluster layer may scatter the operator across
-  worker processes as part of a fused per-record segment
-  (`SHARDABLE_OPERATIONS`).
+* **Lowers to** — the DocSet call that defines the operator (its
+  `LOWERING` entry, shown over the required parameters and input names;
+  optional parameters become keyword arguments). Luna's executor, the
+  cluster worker and the generated script all go through it.
+* **Shardable** — per-record: the operator may ride a cluster shard
+  spec (`SHARDABLE_OPERATIONS`). Luna's executor scatters an `LlmFilter`
+  or `LlmExtract` node over enough documents as a one-operator spec.
 * **Cascade** — the cost-based optimizer may annotate the node with a
   cheap-model draft / strong-model verify cascade
   (`CASCADE_ELIGIBLE_OPERATIONS`).
@@ -105,17 +115,25 @@ def _row(name: str) -> str:
     )
     doc = OPERATOR_DOCS.get(name, "")
     return (
-        f"| `{name}` | {arity} | {params} | {shardable} | {cascade} "
-        f"| {llm} | {prior} | {doc} |"
+        f"| `{name}` | {arity} | {params} | `{_lowers_to(name)}` | {shardable} "
+        f"| {cascade} | {llm} | {prior} | {doc} |"
     )
+
+
+def _lowers_to(name: str) -> str:
+    """The operator's lowering, rendered over parameter and input names."""
+    spec = OPERATOR_SPECS[name]
+    params = {param: Expr(param) for param in spec["required"]}
+    inputs = {0: [], 2: [Expr("docs"), Expr("other")]}.get(spec["arity"], [Expr("docs")])
+    return repr(lower(name, params, SCRIPT_SCOPE, inputs))
 
 
 def render() -> str:
     lines = [
         HEADER,
-        "| Operator | Arity | Required params | Shardable | Cascade "
+        "| Operator | Arity | Required params | Lowers to | Shardable | Cascade "
         "| LLM (tok in/out) | Sel. prior | Description |",
-        "|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     lines.extend(_row(name) for name in OPERATOR_SPECS)
     lines.append(FOOTER)

@@ -56,6 +56,7 @@ from ..luna.operators import (
     LogicalPlan,
     PlanValidationError,
 )
+from ..sycamore.aggregates import AGG_FUNCS, COMPARATORS
 
 __all__ = [
     "PlanCheckError",
@@ -73,8 +74,6 @@ _MATH_REF = re.compile(r"#(\d+)")
 #: Fields every record carries regardless of schema.
 _INTRINSIC_FIELDS = frozenset({"doc_id", "text"})
 
-_COMPARATORS = frozenset({"eq", "ne", "lt", "le", "gt", "ge", "contains"})
-_AGG_FUNCS = frozenset({"sum", "avg", "min", "max", "count", "median"})
 
 #: Operators whose output records keep flowing to consumers with the
 #: per-record field set intact (vs. scalar/reshaping outputs).
@@ -286,30 +285,30 @@ class _Checker:
         if op == "QueryIndex":
             scan_op = params.get("filter_op")
             if params.get("filter_field") is not None and (
-                scan_op is not None and scan_op not in _COMPARATORS
+                scan_op is not None and scan_op not in COMPARATORS
             ):
                 self._issue(
                     "bad-param",
                     f"unknown scan-filter comparator {scan_op!r}; expected "
-                    f"one of {sorted(_COMPARATORS)}",
+                    f"one of {sorted(COMPARATORS)}",
                     node=index,
                 )
         if op == "BasicFilter":
             comparator = params.get("op")
-            if comparator is not None and comparator not in _COMPARATORS:
+            if comparator is not None and comparator not in COMPARATORS:
                 self._issue(
                     "bad-param",
                     f"unknown comparator {comparator!r}; expected one of "
-                    f"{sorted(_COMPARATORS)}",
+                    f"{sorted(COMPARATORS)}",
                     node=index,
                 )
         elif op == "Aggregate":
             func = params.get("func")
-            if func is not None and func not in _AGG_FUNCS:
+            if func is not None and func not in AGG_FUNCS:
                 self._issue(
                     "bad-param",
                     f"unknown aggregate function {func!r}; expected one "
-                    f"of {sorted(_AGG_FUNCS)}",
+                    f"of {sorted(AGG_FUNCS)}",
                     node=index,
                 )
         elif op in ("Limit", "TopK"):

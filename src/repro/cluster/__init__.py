@@ -29,7 +29,7 @@ from .sharding import (
     shard_for,
 )
 from .spill import SpillableDocSet
-from .worker import build_shard_plan, build_worker_context, run_spec_locally
+from .worker import build_worker_context, run_spec_locally
 from .coordinator import (
     ClusterConfig,
     ClusterCoordinator,
@@ -51,7 +51,6 @@ __all__ = [
     "SpillableDocSet",
     "TaskEnvelope",
     "WorkerConfig",
-    "build_shard_plan",
     "build_worker_context",
     "derive_fault_seed",
     "ensure_picklable_spec",

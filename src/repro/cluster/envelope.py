@@ -5,9 +5,10 @@ documents, a *declarative* :class:`ShardPlanSpec` (operator names and
 JSON-able params, mirroring Luna's logical-plan nodes), the remaining
 deadline budget, and a derived fault seed — and sends back a
 :class:`ShardResult`. Nothing else is shared: no closures, no locks, no
-live LLM clients. The worker rebuilds its pipeline from the spec with
-the same transform factories the in-process engine uses, which is what
-makes sharded output byte-identical to local execution.
+live LLM clients. The worker rebuilds its pipeline by lowering the spec
+through the operator table the in-process engine runs
+(:data:`repro.luna.lowering.LOWERING`), which is what makes sharded
+output byte-identical to local execution.
 
 :func:`ensure_picklable_spec` enforces the boundary at submit time with
 a typed error instead of a ``PicklingError`` deep inside a queue feeder

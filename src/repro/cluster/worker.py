@@ -10,8 +10,9 @@ shared-nothing Ray-worker shape scaled down to ``multiprocessing``.
 
 Byte-identity with local execution is structural, not tested-in:
 :func:`run_spec_locally` is the *only* implementation of a shard plan,
-used both by workers and by the single-process baseline, and it builds
-its pipeline from the same transform factories Luna's operators use.
+used both by workers and by the single-process baseline, and it lowers
+each operator through :data:`repro.luna.lowering.LOWERING`, the table
+Luna's executor runs in-process.
 
 The main loop is deliberately boring: bounded queue waits (so shutdown
 and the lint rule's timeout discipline both hold), a ``None`` sentinel
@@ -25,11 +26,10 @@ from __future__ import annotations
 import os
 import time
 from queue import Empty
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..docmodel.document import Document
 from ..execution.executor import ExecutionStats
-from ..execution.plan import Plan
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..lifecycle.deadline import (
@@ -40,13 +40,9 @@ from ..lifecycle.deadline import (
 )
 from ..llm.cost import CostTracker
 from ..llm.simulated import SimulatedLLM
+from ..luna.lowering import Scope, lower
 from ..runtime import Priority, RequestScheduler
-from ..sycamore import aggregates
 from ..sycamore.context import SycamoreContext
-from ..sycamore.llm_transforms import (
-    make_extract_properties_fn,
-    make_llm_filter_fn,
-)
 from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 
 #: How long a worker blocks on its task queue per wait. Bounded so a
@@ -54,90 +50,29 @@ from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 #: sent) still reaches its shutdown checks instead of hanging forever.
 TASK_POLL_S = 0.2
 
-_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "contains": lambda a, b: str(b).lower() in str(a).lower(),
-}
-
-
-def _basic_predicate(params: Dict[str, Any]) -> Callable[[Document], bool]:
-    """The BasicFilter predicate, matching Luna's operator semantics:
-    missing values and type mismatches drop the document."""
-    get = aggregates.property_getter(str(params["field"]))
-    op = str(params["op"])
-    value = params["value"]
-    compare = _COMPARATORS.get(op)
-    if compare is None:
-        raise ValueError(f"unknown comparison operator {op!r}")
-
-    def predicate(document: Document) -> bool:
-        actual = get(document)
-        if actual is None:
-            return False
-        try:
-            return bool(compare(actual, value))
-        except TypeError:
-            return False
-
-    return predicate
-
-
-def build_shard_plan(
-    context: SycamoreContext,
-    documents: List[Document],
-    spec: ShardPlanSpec,
-    priority: Priority = Priority.BULK,
-) -> Plan:
-    """Materialize a declarative spec into an executable Plan chain."""
-    plan = Plan.from_items(documents)
-    for shard_op in spec.ops:
-        params = shard_op.param_dict()
-        model = params.get("model") or spec.default_model
-        if shard_op.operation == "LlmExtract":
-            fn = make_extract_properties_fn(
-                context,
-                {str(params["field"]): str(params.get("type", "string"))},
-                model=model,
-                priority=priority,
-            )
-            plan = plan.map(fn, name="shard_llm_extract")
-        elif shard_op.operation == "LlmFilter":
-            predicate = make_llm_filter_fn(
-                context,
-                condition=str(params["condition"]),
-                model=model,
-                priority=priority,
-            )
-            plan = plan.filter(predicate, name="shard_llm_filter")
-        elif shard_op.operation == "BasicFilter":
-            plan = plan.filter(_basic_predicate(params), name="shard_basic_filter")
-        else:  # pragma: no cover - spec.validate() rejects these upfront
-            raise ValueError(f"unsupported shard operation {shard_op.operation!r}")
-    return plan
-
 
 def run_spec_locally(
     context: SycamoreContext,
     documents: List[Document],
     spec: ShardPlanSpec,
     on_error: Optional[str] = None,
-    priority: Priority = Priority.BULK,
-) -> Tuple[List[Document], Optional[ExecutionStats]]:
+) -> Tuple[List[Document], ExecutionStats]:
     """Run a shard spec over documents in the calling process.
 
     This one function is both the worker's shard body and the
     single-process baseline — shared code, so sharded output can only
     differ from local output through partitioning or merging bugs, both
-    of which the cluster tests pin down directly.
+    of which the cluster tests pin down directly. The spec's operators
+    chain into one DocSet through the lowering table Luna's executor
+    uses, so a shard runs them fused, record by record.
     """
-    executor = context.executor(on_error=on_error)
-    output = executor.take_all(build_shard_plan(context, documents, spec, priority))
-    return output, executor.last_stats
+    scope = Scope(context, llm_options={"priority": Priority.BULK})
+    docset = context.read.documents(documents)
+    for shard_op in spec.ops:
+        params = shard_op.param_dict()
+        params["model"] = params.get("model") or spec.default_model
+        docset = lower(shard_op.operation, params, scope, [docset])
+    return docset.execute(on_error=on_error)
 
 
 def build_worker_context(config: WorkerConfig) -> SycamoreContext:
@@ -220,8 +155,8 @@ def execute_envelope(
             status="ok",
             documents=documents,
             positions=[position_of[document.doc_id] for document in documents],
-            dead_lettered=stats.total_dead_lettered() if stats else 0,
-            skipped=stats.total_skipped() if stats else 0,
+            dead_lettered=stats.total_dead_lettered(),
+            skipped=stats.total_skipped(),
             run_token=envelope.run_token,
         )
     except DeadlineExceeded as exc:

@@ -139,9 +139,11 @@ class Executor:
         :class:`ExecutionStats` reports the plan's share of queue
         traffic, batching and dedup savings.
     tracer:
-        Optional :class:`~repro.observability.Tracer`. Each execution
-        gets a ``plan`` span with one ``transform`` span per per-record
-        node; task functions run *under* their node's transform span
+        Optional :class:`~repro.observability.Tracer`. An execution
+        with per-record nodes gets a ``plan`` span with one ``transform``
+        span for each (inline filters excepted); a plan of sources and
+        barriers alone opens no span and reports no scheduler delta.
+        Task functions run *under* their node's transform span
         (attached per call; parallel submissions each carry their own
         copied :mod:`contextvars` context), so any LLM request spans
         they open become its descendants. ``ExecutionStats.cost`` is
@@ -196,6 +198,10 @@ class Executor:
         stats = ExecutionStats()
         self.last_stats = stats
         self._m_executions.inc()
+        if not any(_spanned(node) for node in plan.nodes()):
+            # Sources, barriers and inline filters: no transform span for
+            # a plan span to parent, no LLM traffic to attribute.
+            return self._run_node(plan.node, stats)
         if self.tracer is not None:
             plan_span = self.tracer.start_span(
                 f"execute:{plan.node.name}", kind="plan", root=plan.node.name
@@ -279,6 +285,8 @@ class Executor:
         if node.kind == "map":
             return self._run_per_record(node, upstream, stats, mode="map")
         if node.kind == "filter":
+            if node.inline:
+                return self._run_inline_filter(node, upstream, stats)
             return self._run_per_record(node, upstream, stats, mode="filter")
         if node.kind == "flat_map":
             return self._run_per_record(node, upstream, stats, mode="flat_map")
@@ -296,6 +304,21 @@ class Executor:
             node_stats.records_out += 1
             yield record
         node_stats.wall_time_s += time.perf_counter() - start
+
+    def _run_inline_filter(
+        self, node: PlanNode, upstream: Iterator[Any], stats: ExecutionStats
+    ) -> Iterator[Any]:
+        node_stats = stats.node(node.name)
+        assert node.fn is not None
+        try:
+            for record in upstream:
+                node_stats.records_in += 1
+                if node.fn(record):
+                    node_stats.records_out += 1
+                    yield record
+        finally:
+            self._m_records_in.inc(node_stats.records_in)
+            self._m_records_out.inc(node_stats.records_out)
 
     def _run_aggregate(
         self, node: PlanNode, upstream: Iterator[Any], stats: ExecutionStats
@@ -559,6 +582,11 @@ class Executor:
             target_id = getattr(output, "doc_id", None)
             if target_id is not None and target_id != source_id:
                 self.lineage.record(node.name, source_id, target_id)
+
+
+def _spanned(node: PlanNode) -> bool:
+    """Whether executing ``node`` opens a ``transform`` span."""
+    return node.kind in ("map", "filter", "flat_map") and not node.inline
 
 
 _stats_lock = threading.Lock()

@@ -45,6 +45,10 @@ class PlanNode:
     #: Per-node retry override; ``None`` defers to the executor's
     #: ``max_task_retries``.
     retries: Optional[int] = None
+    #: A ``filter`` whose predicate is pure in-memory work that cannot
+    #: fail (a property comparison): the executor applies it in the
+    #: pulling thread, with no span, retry wrapper or pool task.
+    inline: bool = False
 
     def lineage_chain(self) -> List["PlanNode"]:
         """Nodes from source to this node, in execution order."""
@@ -110,6 +114,7 @@ class Plan:
         name: Optional[str] = None,
         on_error: Optional[str] = None,
         retries: Optional[int] = None,
+        inline: bool = False,
     ) -> "Plan":
         """Per-record predicate node; keeps matching records."""
         return Plan(
@@ -120,6 +125,7 @@ class Plan:
                 parent=self.node,
                 on_error=on_error,
                 retries=retries,
+                inline=inline,
             )
         )
 

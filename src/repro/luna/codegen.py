@@ -5,23 +5,56 @@ execution code is easy for a technically savvy user to understand and
 modify" (§6.1). This module renders a logical plan as the Python script
 the paper shows in §6.2::
 
-    out_0 = context.read.index("ntsb")
-    out_1 = out_0.llm_filter("caused by environmental factors")
+    out_0 = context.read.index('ntsb')
+    out_1 = out_0.llm_filter('caused by environmental factors')
     out_2 = out_1.count()
-    out_3 = out_1.llm_filter("caused by wind")
+    out_3 = out_1.llm_filter('caused by wind')
     out_4 = out_3.count()
-    result = math_operation(expr="100 * {out_4} / {out_2}")
+    result = math_operation(expr='100 * {out_4} / {out_2}')
 
-The generated script is executable documentation: the Luna executor
-interprets the same plan, and a test asserts both paths agree.
+The script is not a second description of the plan: each line is what
+the operator's entry in :data:`repro.luna.lowering.LOWERING` — the same
+entry the executor runs — does when handed an :class:`Expr`, which
+records the calls made on it as source text. :func:`run_code` executes
+a script; ``tests/test_luna.py`` asserts it returns the executor's
+answer for every operator.
 """
 
 from __future__ import annotations
 
-import re
-from typing import List
+from typing import Any, List
 
-from .operators import LogicalPlan, PlanNode
+from ..sycamore.docset import DocSet
+from . import mathops
+from .lowering import Scope, lower
+from .operators import LogicalPlan
+
+
+class Expr:
+    """Python source that grows by being used.
+
+    Attribute access and calls return a longer :class:`Expr`, and its
+    ``repr`` is the source itself, so passing one as an argument (a
+    join's right side) renders as the name it stands for.
+    """
+
+    def __init__(self, source: str):
+        self._source = source
+
+    def __getattr__(self, name: str) -> "Expr":
+        return Expr(f"{self._source}.{name}")
+
+    def __call__(self, *args: Any, **kwargs: Any) -> "Expr":
+        rendered = [repr(arg) for arg in args]
+        rendered += [f"{name}={value!r}" for name, value in kwargs.items()]
+        return Expr(f"{self._source}({', '.join(rendered)})")
+
+    def __repr__(self) -> str:
+        return self._source
+
+
+#: The free names of a generated script, as recording expressions.
+SCRIPT_SCOPE = Scope(context=Expr("context"), math_operation=Expr("math_operation"))
 
 
 def generate_code(plan: LogicalPlan) -> str:
@@ -30,81 +63,28 @@ def generate_code(plan: LogicalPlan) -> str:
     last = plan.result_node()
     for index, node in enumerate(plan.nodes):
         target = "result" if index == last else f"out_{index}"
-        lines.append(f"{target} = {_expression(node, index)}")
+        inputs = [Expr(f"out_{i}") for i in node.inputs]
+        lines.append(f"{target} = {lower(node.operation, node.params, SCRIPT_SCOPE, inputs)!r}")
     return "\n".join(lines)
 
 
-def _ref(index: int) -> str:
-    return f"out_{index}"
+def run_code(code: str, context: Any) -> Any:
+    """Execute a generated (or user-edited) script against ``context``.
 
+    Binds the script's two free names and returns its ``result``, with a
+    DocSet result collected into the document list the executor returns.
+    """
+    namespace = {"context": context}
 
-def _expression(node: PlanNode, index: int) -> str:
-    op = node.operation
-    params = node.params
-    if op == "QueryIndex":
-        query = params.get("query")
-        if query:
-            return f"context.read.index({params['index']!r}, query={query!r})"
-        return f"context.read.index({params['index']!r})"
-    if op == "FromDocuments":
-        count = len(params.get("doc_ids", []))
-        return (
-            f"context.read.documents(previous_answer_documents)  # {count} docs"
-        )
-    source = _ref(node.inputs[0]) if node.inputs else "context"
-    if op == "BasicFilter":
-        return (
-            f"{source}.filter_by_property({params['field']!r}, "
-            f"{params['op']!r}, {params['value']!r})"
-        )
-    if op == "LlmFilter":
-        model = params.get("model")
-        model_arg = f", model={model!r}" if model else ""
-        return f"{source}.llm_filter({params['condition']!r}{model_arg})"
-    if op == "LlmExtract":
-        field_type = params.get("type", "string")
-        model = params.get("model")
-        model_arg = f", model={model!r}" if model else ""
-        return (
-            f"{source}.extract_properties({{{params['field']!r}: "
-            f"{field_type!r}}}{model_arg})"
-        )
-    if op == "Count":
-        return f"{source}.count()"
-    if op == "Aggregate":
-        group = params.get("group_by")
-        group_arg = f", group_by={group!r}" if group else ""
-        return f"{source}.aggregate({params['func']!r}, {params['field']!r}{group_arg})"
-    if op == "TopK":
-        return (
-            f"{source}.top_k({params['field']!r}, k={params.get('k', 1)}, "
-            f"descending={params.get('descending', True)})"
-        )
-    if op == "Sort":
-        return (
-            f"{source}.sort({params['field']!r}, "
-            f"descending={params.get('descending', False)})"
-        )
-    if op == "Limit":
-        return f"{source}.limit({params['k']})"
-    if op == "Distinct":
-        return f"{source}.distinct({params['field']!r})"
-    if op == "Project":
-        return f"{source}.project({params['fields']!r})"
-    if op == "Join":
-        other = _ref(node.inputs[1])
-        return (
-            f"{source}.join({other}, left_on={params['left_on']!r}, "
-            f"right_on={params['right_on']!r})"
-        )
-    if op == "Math":
-        expression = str(params["expression"])
-        braced = re.sub(r"#(\d+)", r"{out_\1}", expression)
-        return f"math_operation(expr={braced!r})"
-    if op == "Summarize":
-        question = params.get("question")
-        question_arg = f"question={question!r}" if question else ""
-        return f"{source}.summarize_all({question_arg})"
-    if op == "Identity":
-        return source
-    raise ValueError(f"cannot generate code for operation {op!r}")
+    def math_operation(expr: str) -> float:
+        outputs = {
+            int(name[4:]): value
+            for name, value in namespace.items()
+            if name.startswith("out_")
+        }
+        return mathops.math_operation(expr, outputs)
+
+    namespace["math_operation"] = math_operation
+    exec(code, namespace)  # noqa: S102 - running the script is the point
+    result = namespace["result"]
+    return result.take_all() if isinstance(result, DocSet) else result

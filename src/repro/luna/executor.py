@@ -1,10 +1,11 @@
 """Luna plan execution with per-operator tracing.
 
 "Query plans are translated into Sycamore code in Python. Execution on
-large datasets benefits from distributed processing" (§6.1). Here each
-operator is interpreted over document lists, with per-record LLM
-operators dispatched through the Sycamore execution engine so they
-parallelize and retry exactly like hand-written DocSet pipelines.
+large datasets benefits from distributed processing" (§6.1). The
+executor is a DAG walker: each node is lowered to the DocSet call that
+defines it (:mod:`repro.luna.lowering`) and run over its materialised
+inputs, so per-record LLM operators parallelize and retry exactly like
+hand-written DocSet pipelines.
 
 Every node's execution is traced — operation, inputs, record counts,
 duration, and LLM spend — giving the "detailed trace of how the answer
@@ -18,21 +19,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..docmodel.document import Document
-from ..execution.plan import Plan
-from ..lifecycle.deadline import DeadlineExceeded, QueryCancelled, check_scope
+from ..lifecycle.deadline import QueryCancelled, check_scope
 from ..observability.cost import CostAccount
 from ..runtime import Priority
-from ..sycamore import aggregates
 from ..sycamore.context import SycamoreContext
-from ..sycamore.llm_transforms import (
-    make_cascade_extract_fn,
-    make_cascade_filter_fn,
-    make_extract_properties_fn,
-    make_llm_filter_fn,
-    summarize_collection,
-)
+from ..sycamore.docset import DocSet
 from . import mathops
-from .operators import LogicalPlan, PlanNode, PlanValidationError
+from .lowering import Scope, lower
+from .operators import (
+    CASCADE_ELIGIBLE_OPERATIONS,
+    LogicalPlan,
+    PlanNode,
+    PlanValidationError,
+)
 
 
 class PlanExecutionError(RuntimeError):
@@ -47,11 +46,11 @@ class TraceEntry:
     operation: str
     description: str
     records_in: int
-    records_out: int
-    duration_s: float
-    llm_cost_usd: float
-    llm_calls: int
-    result_preview: str
+    records_out: int = 0
+    duration_s: float = 0.0
+    llm_cost_usd: float = 0.0
+    llm_calls: int = 0
+    result_preview: str = ""
     #: Ids of the documents this node emitted (capped) — the provenance
     #: trail from an answer back to its sources.
     document_ids: List[str] = field(default_factory=list)
@@ -93,9 +92,8 @@ class ExecutionTrace:
     #: True when any record or operator was lost along the way — the
     #: answer is computed from an incomplete document stream.
     partial: bool = False
-    #: Id of the query's span tree in the context tracer (empty when the
-    #: query ran untraced); feed it to ``Tracer.trace_spans`` or the
-    #: ``python -m repro trace`` command.
+    #: Id of the query's span tree in the context tracer; feed it to
+    #: ``Tracer.trace_spans`` or the ``python -m repro trace`` command.
     trace_id: str = ""
     #: Span-derived per-operator cost rollup (tokens, dollars, retries,
     #: cache/dedup savings). Same arithmetic as the JSON trace export.
@@ -176,9 +174,9 @@ LUNA_ERROR_POLICIES = ("fail", "skip", "dead_letter")
 
 @dataclass
 class _NodeStats:
-    """Per-node failure-containment and spend stats, merged from the
-    DocSet execution layer and (when a node scattered across the
-    cluster) worker-side counters the parent's spans never saw."""
+    """What running one node reports besides its output: records lost to
+    a non-fatal policy and, when the node scattered across the cluster,
+    the worker-side spend the parent's spans never saw."""
 
     dead_lettered: int = 0
     skipped: int = 0
@@ -191,7 +189,12 @@ class _NodeStats:
 
 
 class LunaExecutor:
-    """Interprets validated logical plans against the context's catalog."""
+    """Walks a validated logical plan, running each node's lowering
+    (:data:`repro.luna.lowering.LOWERING`) over its materialised inputs.
+
+    It keeps no per-query state: everything one execution learns travels
+    in return values, so one executor serves concurrent queries.
+    """
 
     def __init__(self, context: SycamoreContext, error_policy: str = "fail"):
         if error_policy not in LUNA_ERROR_POLICIES:
@@ -200,9 +203,6 @@ class LunaExecutor:
             )
         self.context = context
         self.error_policy = error_policy
-        self._last_plan_stats = None
-        self._last_cluster_stats: Optional[_NodeStats] = None
-        self._current_query_id = ""
 
     def execute(
         self,
@@ -231,6 +231,7 @@ class LunaExecutor:
         re-executed. ``journal_writer(index, operation, output)`` is
         called after each cleanly executed node — degraded nodes are
         deliberately not checkpointed, so a resume re-executes them.
+        ``query_id`` keys the shard checkpoints of cluster-routed nodes.
         """
         # Structural gate (no schema: execution has no index context):
         # malformed plans fail before the first operator runs, with the
@@ -239,43 +240,32 @@ class LunaExecutor:
 
         ensure_valid_plan(plan)
         plan.validate()
-        # Shard journal records key on the query id; cluster-routed
-        # nodes pick it up from here (see _cluster_route).
-        self._current_query_id = query_id
         fatal = self.error_policy == "fail"
-        tracer = getattr(self.context, "tracer", None)
+        tracer = self.context.tracer
         results: Dict[int, Any] = {}
+        scope = Scope(
+            self.context,
+            math_operation=lambda expr: mathops.math_operation(expr, results),
+            llm_options={"priority": Priority.INTERACTIVE},
+        )
         trace = ExecutionTrace()
         # Run standalone, every op span roots a trace of its own.
         op_trace_ids: Dict[str, None] = {}
         for index, node in enumerate(plan.nodes):
             inputs = [results[i] for i in node.inputs]
+            entry = TraceEntry(
+                index=index,
+                operation=node.operation,
+                description=node.description,
+                records_in=_count_records(inputs[0]) if inputs else 0,
+            )
+            trace.entries.append(entry)
             if completed is not None and index in completed:
                 output = completed[index]
-                results[index] = output
+                entry.replayed = True
                 trace.nodes_replayed += 1
-                trace.entries.append(
-                    TraceEntry(
-                        index=index,
-                        operation=node.operation,
-                        description=node.description,
-                        records_in=_count_records(inputs[0]) if inputs else 0,
-                        records_out=_count_records(output),
-                        duration_s=0.0,
-                        llm_cost_usd=0.0,
-                        llm_calls=0,
-                        result_preview=_preview(output),
-                        document_ids=_document_ids(output),
-                        replayed=True,
-                    )
-                )
-                continue
-            start = time.perf_counter()
-            self._last_plan_stats = None
-            self._last_cluster_stats = None
-            error: Optional[str] = None
-            op_span = None
-            if tracer is not None:
+            else:
+                start = time.perf_counter()
                 op_span = tracer.start_span(
                     _op_span_name(index, node.operation),
                     kind="operator",
@@ -284,208 +274,116 @@ class LunaExecutor:
                 )
                 trace.trace_id = trace.trace_id or op_span.trace_id
                 op_trace_ids[op_span.trace_id] = None
-            try:
-                check_scope()
-                if op_span is not None:
+                try:
+                    check_scope()
                     with tracer.attach(op_span):
-                        output = self._run_node(node, inputs, results)
-                else:
-                    output = self._run_node(node, inputs, results)
-            except QueryCancelled as exc:
-                # Cancellation never degrades: the submitter walked away,
-                # a partial answer has no audience.
-                if op_span is not None:
-                    tracer.finish(
-                        op_span, status="error", error=f"QueryCancelled: {exc}"
-                    )
-                raise
-            except DeadlineExceeded as exc:
-                if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"DeadlineExceeded: {exc}",
-                        )
-                    raise
-                # Budget exhausted: this node (and, via the checkpoint at
-                # the top of the loop, every later node) degrades to a
-                # pass-through so the query lands promptly with a typed
-                # partial result.
-                error = f"DeadlineExceeded: {exc}"
-                output = inputs[0] if inputs else []
-            except (PlanValidationError, mathops.MathEvaluationError) as exc:
-                if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    raise PlanExecutionError(
-                        f"node {index} ({node.operation}): {exc}"
-                    ) from exc
-                error = f"{type(exc).__name__}: {exc}"
-                output = inputs[0] if inputs else []
-            except Exception as exc:  # noqa: BLE001 - contain under non-fatal policy
-                if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    raise
-                error = f"{type(exc).__name__}: {exc}"
-                output = inputs[0] if inputs else []
-            duration = time.perf_counter() - start
-            if op_span is not None:
+                        output, stats = self._run_node(node, inputs, scope, query_id)
+                except Exception as exc:  # noqa: BLE001 - contain under non-fatal policy
+                    entry.error = f"{type(exc).__name__}: {exc}"
+                    # Cancellation never degrades: the submitter walked
+                    # away, a partial answer has no audience.
+                    if fatal or isinstance(exc, QueryCancelled):
+                        tracer.finish(op_span, status="error", error=entry.error)
+                        if isinstance(
+                            exc, (PlanValidationError, mathops.MathEvaluationError)
+                        ):
+                            raise PlanExecutionError(
+                                f"node {index} ({node.operation}): {exc}"
+                            ) from exc
+                        raise
+                    # Degrade to a pass-through. After a DeadlineExceeded
+                    # the checkpoint above fails every later node the
+                    # same way, so the query lands promptly with a typed
+                    # partial result.
+                    output, stats = (inputs[0] if inputs else []), _NodeStats()
+                    trace.errors.append(f"node {index} ({node.operation}): {entry.error}")
+                entry.duration_s = time.perf_counter() - start
                 op_span.set_attributes(
-                    records_in=_count_records(inputs[0]) if inputs else 0,
-                    records_out=_count_records(output),
+                    records_in=entry.records_in, records_out=_count_records(output)
                 )
                 tracer.finish(
                     op_span,
-                    status="error" if error is not None else "ok",
-                    error=error,
+                    status="ok" if entry.error is None else "error",
+                    error=entry.error,
                 )
+                trace.nodes_executed += 1
+                if journal_writer is not None and entry.error is None:
+                    journal_writer(index, node.operation, output)
+                entry.llm_cost_usd = stats.cost_usd
+                entry.llm_calls = stats.llm_calls
+                entry.dead_lettered = stats.dead_lettered
+                entry.skipped = stats.skipped
+                if (
+                    entry.error is not None
+                    or stats.dead_lettered
+                    or stats.skipped
+                    or stats.partial
+                ):
+                    trace.partial = True
             results[index] = output
-            trace.nodes_executed += 1
-            if journal_writer is not None and error is None:
-                journal_writer(index, node.operation, output)
-            node_stats = self._drain_plan_stats()
-            if error is not None:
-                trace.errors.append(f"node {index} ({node.operation}): {error}")
-            if (
-                error is not None
-                or node_stats.dead_lettered
-                or node_stats.skipped
-                or node_stats.partial
-            ):
-                trace.partial = True
-            trace.entries.append(
-                TraceEntry(
-                    index=index,
-                    operation=node.operation,
-                    description=node.description,
-                    records_in=_count_records(inputs[0]) if inputs else 0,
-                    records_out=_count_records(output),
-                    duration_s=duration,
-                    llm_cost_usd=node_stats.cost_usd,
-                    llm_calls=node_stats.llm_calls,
-                    result_preview=_preview(output),
-                    document_ids=_document_ids(output),
-                    dead_lettered=node_stats.dead_lettered,
-                    skipped=node_stats.skipped,
-                    error=error,
-                )
+            entry.records_out = _count_records(output)
+            entry.result_preview = _preview(output)
+            entry.document_ids = _document_ids(output)
+        trace.attribute_spend(
+            CostAccount.from_spans(
+                [span for tid in op_trace_ids for span in tracer.trace_spans(tid)]
             )
-        if tracer is not None:
-            trace.attribute_spend(
-                CostAccount.from_spans(
-                    [span for tid in op_trace_ids for span in tracer.trace_spans(tid)]
-                )
-            )
+        )
         return results[plan.result_node()], trace
 
-    def _drain_plan_stats(self) -> _NodeStats:
-        """The node's failure-containment and spend stats, merged from
-        the DocSet execution layer and any cluster-routed segment."""
-        stats = self._last_plan_stats
-        self._last_plan_stats = None
-        merged = self._last_cluster_stats or _NodeStats()
-        self._last_cluster_stats = None
-        if stats is not None:
-            merged.dead_lettered += stats.total_dead_lettered()
-            merged.skipped += stats.total_skipped()
-        return merged
-
-    def _run_docset_plan(self, plan: Plan) -> List[Document]:
-        """Run a per-record DocSet plan under this executor's policy."""
+    def _run_node(
+        self, node: PlanNode, inputs: List[Any], scope: Scope, query_id: str
+    ) -> "tuple[Any, _NodeStats]":
+        """One node's output, and what running it lost or spent."""
+        sources = []
+        for value in inputs:
+            if _is_document_set(value):
+                sources.append(DocSet.from_documents(self.context, value))
+            elif node.operation in ("Math", "Identity"):
+                sources.append(value)
+            else:  # every other operator consumes document sets
+                raise PlanValidationError(
+                    f"{node.operation} expects a document set input, "
+                    f"got {type(value).__name__}"
+                )
+        routed = self._cluster_route(node, inputs, query_id)
+        if routed is not None:
+            return routed
+        lowered = lower(node.operation, node.params, scope, sources)
+        if not isinstance(lowered, DocSet):
+            return lowered, _NodeStats()
+        for source, value in zip(sources, inputs):
+            if lowered is source:  # handed back untouched: nothing to run
+                return value, _NodeStats()
         on_error = None if self.error_policy == "fail" else self.error_policy
-        executor = self.context.executor(on_error=on_error)
-        documents = executor.take_all(plan)
-        self._last_plan_stats = executor.last_stats
-        return documents
-
-    # ------------------------------------------------------------------
-
-    def _run_node(self, node: PlanNode, inputs: List[Any], results: Dict[int, Any]) -> Any:
-        handler = getattr(self, f"_op_{node.operation.lower()}", None)
-        if handler is None:
-            raise PlanValidationError(f"no executor for operation {node.operation!r}")
-        return handler(node, inputs, results)
-
-    # Each handler takes (node, inputs, all_results) and returns the value.
-
-    def _op_queryindex(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        index = self.context.catalog.get(str(node.params["index"]))
-        query = node.params.get("query")
-        if query:
-            k = int(node.params.get("k", 20))
-            return index.search_hybrid(str(query), k=k)
-        documents = index.all_documents()
-        filter_field = node.params.get("filter_field")
-        if filter_field:
-            # Scan-side structured filter, folded in by the cost-based
-            # optimizer: read only records whose catalog field matches.
-            get = aggregates.property_getter(str(filter_field))
-            compare = _comparator(str(node.params.get("filter_op", "eq")))
-            value = node.params.get("filter_value")
-            kept = []
-            for document in documents:
-                actual = get(document)
-                if actual is None:
-                    continue
-                try:
-                    if compare(actual, value):
-                        kept.append(document)
-                except TypeError:
-                    continue
-            return kept
-        return documents
-
-    def _op_fromdocuments(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        index = self.context.catalog.get(str(node.params["index"]))
-        doc_ids = [str(d) for d in node.params.get("doc_ids", [])]
-        return index.docstore.get_many(doc_ids)
-
-    def _op_basicfilter(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        field_name = str(node.params["field"])
-        op = str(node.params["op"])
-        value = node.params["value"]
-        get = aggregates.property_getter(field_name)
-        compare = _comparator(op)
-        kept = []
-        for document in documents:
-            actual = get(document)
-            if actual is None:
-                continue
-            try:
-                if compare(actual, value):
-                    kept.append(document)
-            except TypeError:
-                continue
-        return kept
+        documents, run = lowered.execute(on_error=on_error)
+        return documents, _NodeStats(
+            dead_lettered=run.total_dead_lettered(), skipped=run.total_skipped()
+        )
 
     def _cluster_route(
-        self, operation: str, documents: List[Document], **params: Any
-    ) -> Optional[List[Document]]:
+        self, node: PlanNode, inputs: List[Any], query_id: str
+    ) -> "Optional[tuple[List[Document], _NodeStats]]":
         """Scatter a per-record LLM operator across the context's cluster.
 
-        Returns ``None`` when the node should run in-process instead: no
-        cluster attached, too few documents to amortize scatter overhead
-        (``min_cluster_docs``), or the cluster's admission gate rejected
-        the segment (saturation degrades to local execution rather than
-        failing the query). Byte-identity between the two paths is
-        structural — workers rebuild their pipelines from the same
-        transform factories this executor uses.
+        Returns ``None`` when the node should run in-process instead: it
+        is not such an operator, no cluster is attached, there are too
+        few documents to amortize scatter overhead (``min_cluster_docs``),
+        or the cluster's admission gate rejected the segment (saturation
+        degrades to local execution rather than failing the query).
+        Cascade-annotated nodes also stay in-process: drafts are cheap
+        enough not to need scattering. Byte-identity between the two
+        paths is structural — workers lower the shard spec through the
+        same table this executor uses.
         """
-        cluster = getattr(self.context, "cluster", None)
-        if cluster is None:
-            return None
-        if len(documents) < cluster.config.min_cluster_docs:
+        cluster = self.context.cluster
+        if (
+            cluster is None
+            # The cascade-eligible operators are the per-record LLM ones.
+            or node.operation not in CASCADE_ELIGIBLE_OPERATIONS
+            or node.params.get("cascade") is not None
+            or len(inputs[0]) < cluster.config.min_cluster_docs
+        ):
             return None
         # Lazy imports: a module-level import here would close the
         # luna -> cluster -> serving -> luna cycle.
@@ -493,236 +391,42 @@ class LunaExecutor:
         from ..serving.service import Overloaded
 
         spec = ShardPlanSpec.from_ops(
-            [ShardOp.make(operation, **{k: v for k, v in params.items() if v is not None})],
+            [
+                ShardOp.make(
+                    node.operation,
+                    **{k: v for k, v in node.params.items() if v is not None},
+                )
+            ],
             default_model=self.context.default_model,
         )
-        partial = "raise" if self.error_policy == "fail" else "typed"
         try:
             result = cluster.run_segment(
-                documents,
+                inputs[0],
                 spec,
-                query_id=self._current_query_id,
-                partial=partial,
+                query_id=query_id,
+                partial="raise" if self.error_policy == "fail" else "typed",
             )
         except Overloaded:
             return None
-        self._last_cluster_stats = _NodeStats(
+        return result.documents, _NodeStats(
             dead_lettered=result.dead_lettered,
             skipped=result.skipped,
             partial=result.status == "partial",
             llm_calls=result.llm_calls,
             cost_usd=result.cost_usd,
         )
-        return result.documents
-
-    def _op_llmfilter(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        cascade = node.params.get("cascade")
-        if isinstance(cascade, dict):
-            # Cascade-annotated nodes run in-process: the draft/escalate
-            # decision is per-record state the cluster envelope does not
-            # carry, and drafts are cheap enough not to need scattering.
-            predicate = make_cascade_filter_fn(
-                self.context,
-                condition=str(node.params["condition"]),
-                verify_model=str(node.params.get("model") or self.context.default_model),
-                draft_model=str(cascade.get("draft_model", "sim-small")),
-                draft_votes=int(cascade.get("draft_votes", 2)),
-                confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
-                priority=Priority.INTERACTIVE,
-            )
-            plan = Plan.from_items(documents).filter(
-                predicate, name="luna_cascade_filter"
-            )
-            return self._run_docset_plan(plan)
-        routed = self._cluster_route(
-            "LlmFilter",
-            documents,
-            condition=str(node.params["condition"]),
-            model=node.params.get("model"),
-        )
-        if routed is not None:
-            return routed
-        predicate = make_llm_filter_fn(
-            self.context,
-            condition=str(node.params["condition"]),
-            model=node.params.get("model"),
-            priority=Priority.INTERACTIVE,
-        )
-        plan = Plan.from_items(documents).filter(predicate, name="luna_llm_filter")
-        return self._run_docset_plan(plan)
-
-    def _op_llmextract(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        field_name = str(node.params["field"])
-        field_type = str(node.params.get("type", "string"))
-        cascade = node.params.get("cascade")
-        if isinstance(cascade, dict):
-            fn = make_cascade_extract_fn(
-                self.context,
-                {field_name: field_type},
-                verify_model=str(node.params.get("model") or self.context.default_model),
-                draft_model=str(cascade.get("draft_model", "sim-small")),
-                confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
-                priority=Priority.INTERACTIVE,
-            )
-            plan = Plan.from_items(documents).map(fn, name="luna_cascade_extract")
-            return self._run_docset_plan(plan)
-        routed = self._cluster_route(
-            "LlmExtract",
-            documents,
-            field=field_name,
-            type=field_type,
-            model=node.params.get("model"),
-        )
-        if routed is not None:
-            return routed
-        fn = make_extract_properties_fn(
-            self.context,
-            {field_name: field_type},
-            model=node.params.get("model"),
-            priority=Priority.INTERACTIVE,
-        )
-        plan = Plan.from_items(documents).map(fn, name="luna_llm_extract")
-        return self._run_docset_plan(plan)
-
-    def _op_count(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> int:
-        return len(_require_documents(node, inputs[0]))
-
-    def _op_aggregate(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> Any:
-        documents = _require_documents(node, inputs[0])
-        func = str(node.params["func"])
-        field_name = str(node.params["field"])
-        group_by = node.params.get("group_by")
-        if group_by:
-            return aggregates.grouped_aggregate(documents, func, field_name, str(group_by))
-        return aggregates.aggregate_field(documents, func, field_name)
-
-    def _op_topk(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[tuple]:
-        documents = _require_documents(node, inputs[0])
-        return aggregates.top_k_values(
-            documents,
-            str(node.params["field"]),
-            k=int(node.params.get("k", 1)),
-            descending=bool(node.params.get("descending", True)),
-        )
-
-    def _op_sort(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        return aggregates.sort_documents(
-            documents,
-            str(node.params["field"]),
-            descending=bool(node.params.get("descending", False)),
-        )
-
-    def _op_limit(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        return documents[: int(node.params["k"])]
-
-    def _op_distinct(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        documents = _require_documents(node, inputs[0])
-        get = aggregates.property_getter(str(node.params["field"]))
-        seen = set()
-        kept = []
-        for document in documents:
-            value = get(document)
-            try:
-                key = value if not isinstance(value, list) else tuple(value)
-                hash(key)
-            except TypeError:
-                key = str(value)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(document)
-        return kept
-
-    def _op_project(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Any]:
-        documents = _require_documents(node, inputs[0])
-        fields = node.params["fields"]
-        if isinstance(fields, str):
-            fields = [fields]
-        getters = [aggregates.property_getter(str(f)) for f in fields]
-        if len(getters) == 1:
-            return [getters[0](d) for d in documents]
-        return [tuple(get(d) for get in getters) for d in documents]
-
-    def _op_join(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> List[Document]:
-        left = _require_documents(node, inputs[0])
-        right = _require_documents(node, inputs[1])
-        return aggregates.hash_join(
-            left,
-            right,
-            str(node.params["left_on"]),
-            str(node.params["right_on"]),
-            how=str(node.params.get("how", "inner")),
-        )
-
-    def _op_math(self, node: PlanNode, inputs: List[Any], results: Dict[int, Any]) -> float:
-        expression = str(node.params["expression"])
-        values: Dict[int, float] = {}
-        for reference in mathops.referenced_nodes(expression):
-            if reference not in results:
-                raise mathops.MathEvaluationError(
-                    f"expression references unevaluated node #{reference}"
-                )
-            values[reference] = _as_number(results[reference])
-        return mathops.evaluate(expression, values)
-
-    def _op_summarize(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> str:
-        documents = _require_documents(node, inputs[0])
-        if not documents:
-            return "No matching records."
-        return summarize_collection(
-            self.context,
-            documents,
-            model=node.params.get("model"),
-            question=node.params.get("question"),
-            priority=Priority.INTERACTIVE,
-        )
-
-    def _op_identity(self, node: PlanNode, inputs: List[Any], _: Dict[int, Any]) -> Any:
-        return inputs[0]
 
 
 # ----------------------------------------------------------------------
 
 
-def _require_documents(node: PlanNode, value: Any) -> List[Document]:
-    if isinstance(value, list) and all(isinstance(v, Document) for v in value):
-        return value
-    raise PlanValidationError(
-        f"{node.operation} expects a document set input, got {type(value).__name__}"
-    )
-
-
-def _comparator(op: str):
-    comparators = {
-        "eq": lambda a, b: a == b,
-        "ne": lambda a, b: a != b,
-        "lt": lambda a, b: a < b,
-        "le": lambda a, b: a <= b,
-        "gt": lambda a, b: a > b,
-        "ge": lambda a, b: a >= b,
-        "contains": lambda a, b: str(b).lower() in str(a).lower(),
-    }
-    if op not in comparators:
-        raise PlanValidationError(f"unknown comparison operator {op!r}")
-    return comparators[op]
-
-
-def _as_number(value: Any) -> float:
-    if isinstance(value, bool):
-        return float(int(value))
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise mathops.MathEvaluationError(
-        f"node result {value!r} is not numeric"
-    )
+def _is_document_set(value: Any) -> bool:
+    # A node emits documents or values, never a mix: the first tells.
+    return isinstance(value, list) and (not value or isinstance(value[0], Document))
 
 
 def _document_ids(value: Any, cap: int = 50) -> List[str]:
-    if isinstance(value, list) and value and isinstance(value[0], Document):
+    if value and _is_document_set(value):
         return [d.doc_id for d in value[:cap]]
     return []
 
@@ -734,11 +438,9 @@ def _count_records(value: Any) -> int:
 
 
 def _preview(value: Any, limit: int = 80) -> str:
-    if isinstance(value, list):
-        if value and isinstance(value[0], Document):
-            return f"{len(value)} documents"
-        text = repr(value)
-    elif isinstance(value, float):
+    if value and _is_document_set(value):
+        return f"{len(value)} documents"
+    if isinstance(value, float):
         text = f"{value:.4f}"
     else:
         text = repr(value)

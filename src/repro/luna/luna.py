@@ -13,7 +13,7 @@ let the user inspect/modify nodes, then execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..analysis.plancheck import ensure_valid_plan
@@ -170,13 +170,9 @@ class Luna:
         """Start an inspect-before-run session (human-in-the-loop)."""
         named_index = self.context.catalog.get(index)
         secondary = [self.context.catalog.get(name) for name in secondary_indexes]
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is not None:
-            # Planning is traced separately from execution: a session may
-            # sit between plan and run (human inspection) for minutes.
-            with tracer.span("plan:luna", kind="plan", question=question):
-                plan = self.planner.plan(question, named_index, secondary=secondary)
-        else:
+        # Planning is traced separately from execution: a session may sit
+        # between plan and run (human inspection) for minutes.
+        with self.context.tracer.span("plan:luna", kind="plan", question=question):
             plan = self.planner.plan(question, named_index, secondary=secondary)
         return LunaSession(
             luna=self, question=question, index=index, plan=plan
@@ -246,48 +242,24 @@ class Luna:
                 for name in self.context.catalog.names()
             },
         )
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is None:
-            optimized, log, report = self._optimize(plan, named_index)
-            code = generate_code(optimized)
-            writer = self._journal_begin(query_id, question, index, optimized)
-            answer, trace = self.executor.execute(
-                optimized, journal_writer=writer, query_id=query_id
-            )
-        else:
-            # Ambient-parented: standalone queries root their own trace
-            # (the historical behaviour); queries run under the serving
-            # layer nest beneath its per-request ``serve`` root span.
-            query_span = tracer.start_span(
-                "query:luna",
-                kind="query",
-                question=question,
-                index=index,
-            )
-            try:
-                with tracer.attach(query_span):
-                    with tracer.span("plan:optimize", kind="plan"):
-                        optimized, log, report = self._optimize(plan, named_index)
-                        code = generate_code(optimized)
-                    writer = self._journal_begin(
-                        query_id, question, index, optimized
-                    )
-                    answer, trace = self.executor.execute(
-                        optimized, journal_writer=writer, query_id=query_id
-                    )
-            except BaseException as exc:
-                tracer.finish(
-                    query_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
+        tracer = self.context.tracer
+        # Ambient-parented: a standalone query roots its own trace; one
+        # run under the serving layer nests beneath its per-request
+        # ``serve`` root span.
+        with tracer.span("query:luna", kind="query", question=question, index=index) as query_span:
+            with tracer.span("plan:optimize", kind="plan"):
+                optimized, log, report = self._optimize(plan, named_index)
+            if self.journal is not None and query_id:
+                self.journal.begin(
+                    query_id,
+                    question=question,
+                    index=index,
+                    plan_json=optimized.to_json(),
+                    error_policy=self.executor.error_policy,
                 )
-                raise
-            tracer.finish(query_span)
-            trace.trace_id = query_span.trace_id
-            # When nested under a still-open serving span, the trace root
-            # has no duration yet; the query span's own wall time is the
-            # honest figure either way.
-            trace.cost.wall_clock_s = query_span.duration_s
+            result = self._run(question, index, plan, optimized, log, query_id)
+        trace = result.trace
+        self._close_trace(trace, query_span)
         if report is not None:
             report.record_actuals(trace)
             trace.optimizer_report = report
@@ -295,15 +267,46 @@ class Luna:
             # Close the adaptive loop: fold this execution's observed
             # selectivity/$-per-row back into the live store.
             self.stats_store.observe(optimized, trace)
-        if self.journal is not None and query_id:
-            self.journal.commit(query_id, answer)
+        return result
+
+    @staticmethod
+    def _close_trace(trace: ExecutionTrace, query_span: Any) -> None:
+        # With every node replayed no operator span names the trace. And
+        # when nested under a still-open serving span the trace root has
+        # no duration yet; the query span's own wall time is the honest
+        # figure either way.
+        trace.trace_id = trace.cost.trace_id = query_span.trace_id
+        trace.cost.wall_clock_s = query_span.duration_s
+
+    def _run(
+        self,
+        question: str,
+        index: str,
+        plan: LogicalPlan,
+        optimized: LogicalPlan,
+        log: List[str],
+        query_id: str,
+        completed: Optional[Dict[int, Any]] = None,
+    ) -> LunaResult:
+        """Execute an optimized plan, checkpointing each node and
+        committing the answer when the query is journaled, and record
+        the result; ``completed`` holds a resumed query's checkpoints."""
+        journal = self.journal if query_id else None
+        writer = None
+        if journal is not None:
+            writer = lambda i, op, value: journal.node_complete(query_id, i, op, value)  # noqa: E731
+        answer, trace = self.executor.execute(
+            optimized, completed=completed, journal_writer=writer, query_id=query_id
+        )
+        if journal is not None:
+            journal.commit(query_id, answer)
         result = LunaResult(
             question=question,
             index=index,
             plan=plan,
             optimized_plan=optimized,
             optimization_log=log,
-            code=code,
+            code=generate_code(optimized),
             answer=answer,
             trace=trace,
             partial=trace.partial,
@@ -331,21 +334,6 @@ class Luna:
     # Crash recovery
     # ------------------------------------------------------------------
 
-    def _journal_begin(self, query_id, question, index, optimized):
-        """Open the write-ahead log for this execution (no-op without a
-        journal or a query id); returns the per-node checkpoint writer."""
-        if self.journal is None or not query_id:
-            return None
-        journal = self.journal
-        journal.begin(
-            query_id,
-            question=question,
-            index=index,
-            plan_json=optimized.to_json(),
-            error_policy=self.executor.error_policy,
-        )
-        return lambda i, op, value: journal.node_complete(query_id, i, op, value)
-
     def resume(self, query_id: str) -> LunaResult:
         """Resume a journaled query in a fresh process after a crash.
 
@@ -370,66 +358,27 @@ class Luna:
                 f"journaled plan for {query_id!r} does not survive the "
                 f"round-trip: fingerprint {rehydrated} != {state.fingerprint}"
             )
-        code = generate_code(optimized)
-        writer = lambda i, op, value: journal.node_complete(query_id, i, op, value)  # noqa: E731
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is None:
-            answer, trace = self.executor.execute(
+        with self.context.tracer.span(
+            "query:luna", kind="query", question=state.question, index=state.index, resumed=True
+        ) as query_span:
+            result = self._run(
+                state.question,
+                state.index,
                 optimized,
+                optimized,
+                [],
+                query_id,
                 completed=state.completed,
-                journal_writer=writer,
-                query_id=query_id,
             )
-        else:
-            query_span = tracer.start_span(
-                "query:luna",
-                kind="query",
-                question=state.question,
-                index=state.index,
-                resumed=True,
-            )
-            try:
-                with tracer.attach(query_span):
-                    answer, trace = self.executor.execute(
-                        optimized,
-                        completed=state.completed,
-                        journal_writer=writer,
-                        query_id=query_id,
-                    )
-            except BaseException as exc:
-                tracer.finish(
-                    query_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise
-            tracer.finish(query_span)
-            # With every node replayed no operator span names the trace.
-            trace.trace_id = trace.cost.trace_id = query_span.trace_id
-            trace.cost.wall_clock_s = query_span.duration_s
-        journal.commit(query_id, answer)
+        trace = result.trace
+        self._close_trace(trace, query_span)
+        result.optimization_log.append(
+            f"resumed from journal checkpoint: {trace.nodes_replayed} "
+            f"node(s) replayed, {trace.nodes_executed} re-executed"
+        )
         journal.registry.counter("lifecycle.resumes").inc()
-        journal.registry.counter("lifecycle.nodes_replayed").inc(
-            trace.nodes_replayed
-        )
-        journal.registry.counter("lifecycle.nodes_reexecuted").inc(
-            trace.nodes_executed
-        )
-        result = LunaResult(
-            question=state.question,
-            index=state.index,
-            plan=optimized,
-            optimized_plan=optimized,
-            optimization_log=[
-                f"resumed from journal checkpoint: {trace.nodes_replayed} "
-                f"node(s) replayed, {trace.nodes_executed} re-executed"
-            ],
-            code=code,
-            answer=answer,
-            trace=trace,
-            partial=trace.partial,
-        )
-        self.history.record(result)
+        journal.registry.counter("lifecycle.nodes_replayed").inc(trace.nodes_replayed)
+        journal.registry.counter("lifecycle.nodes_reexecuted").inc(trace.nodes_executed)
         return result
 
 

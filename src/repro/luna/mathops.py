@@ -2,21 +2,23 @@
 
 The paper's sample execution (§6.2) ends with
 ``math_operation(expr="100 * {out_4}/{out_2}")``. Our plans write node
-references as ``#i``; this module substitutes the referenced node results
-and evaluates the expression over a restricted AST — no names, no calls,
-no attribute access — so a hostile plan cannot execute code.
+references as ``#i`` and the generated script writes them as ``{out_i}``;
+this module substitutes the referenced node results and evaluates the
+expression over a restricted AST — no names, no calls, no attribute
+access — so a hostile plan cannot execute code.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict
+from typing import Any, Mapping
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 _REF_RE = re.compile(r"#(\d+)")
+_BRACED_REF_RE = re.compile(r"\{out_(\d+)\}")
 
 
 class MathEvaluationError(ValueError):
@@ -28,18 +30,32 @@ def referenced_nodes(expression: str) -> list:
     return [int(m) for m in _REF_RE.findall(expression)]
 
 
-def evaluate(expression: str, values: Dict[int, float]) -> float:
+def braced(expression: str) -> str:
+    """The script spelling of a plan expression: ``#i`` as ``{out_i}``."""
+    return _REF_RE.sub(r"{out_\1}", expression)
+
+
+def math_operation(expr: str, outputs: Mapping[int, Any]) -> float:
+    """The generated script's ``math_operation``: evaluate ``expr`` with
+    ``{out_i}`` standing for ``outputs[i]``, node *i*'s result."""
+    return evaluate(_BRACED_REF_RE.sub(r"#\1", expr), outputs)
+
+
+def evaluate(expression: str, values: Mapping[int, Any]) -> float:
     """Evaluate ``expression`` with ``#i`` replaced by ``values[i]``.
 
-    Raises :class:`MathEvaluationError` on unknown references, disallowed
-    syntax, or division by zero.
+    Raises :class:`MathEvaluationError` on unknown references, values
+    that are not numbers, disallowed syntax, or division by zero.
     """
 
     def substitute(match: "re.Match[str]") -> str:
         index = int(match.group(1))
         if index not in values:
             raise MathEvaluationError(f"expression references unknown node #{index}")
-        return repr(float(values[index]))
+        value = values[index]
+        if not isinstance(value, (int, float)):  # bool counts as 0/1
+            raise MathEvaluationError(f"node result {value!r} is not numeric")
+        return repr(float(value))
 
     substituted = _REF_RE.sub(substitute, expression)
     try:

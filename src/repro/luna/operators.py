@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List
 
 
 class PlanValidationError(ValueError):
@@ -21,9 +21,10 @@ class PlanValidationError(ValueError):
 
 
 #: The per-record subset of the operator algebra: each output document
-#: depends on exactly one input document, so a run of these operators
-#: can be partitioned across cluster shards and merged order-stably
-#: (see :mod:`repro.cluster`). This is the canonical definition; the
+#: depends on exactly one input document (they lower to plan
+#: ``filter``/``map`` nodes), so a shard spec made of them can be
+#: partitioned across cluster workers and merged order-stably (see
+#: :mod:`repro.cluster`). This is the canonical definition; the
 #: cluster's envelope layer imports it rather than re-declaring it.
 SHARDABLE_OPERATIONS = ("BasicFilter", "LlmFilter", "LlmExtract")
 
@@ -177,57 +178,6 @@ class LogicalPlan:
                 and f"#{index}" in str(node.params.get("expression", ""))
             )
         ]
-
-    def llm_nodes(self) -> List[int]:
-        """Indexes of operators that call an LLM at execution time."""
-        return [
-            i
-            for i, node in enumerate(self.nodes)
-            if node.operation in ("LlmFilter", "LlmExtract", "Summarize")
-        ]
-
-    def shardable_segments(self, require_llm: bool = True) -> List[List[int]]:
-        """Maximal runs of consecutive per-record operators.
-
-        A segment is a list of node indexes ``[a, a+1, ..., b]`` where
-        every operation is in :data:`SHARDABLE_OPERATIONS`, each node
-        consumes exactly the previous one, and no interior node has an
-        external consumer — i.e. a linear per-record chain the cluster
-        layer can scatter as one fused sub-plan. ``require_llm`` drops
-        segments with no LLM operator (sharding a lone BasicFilter costs
-        more in scatter overhead than it saves).
-        """
-        segments: List[List[int]] = []
-        current: List[int] = []
-        for index, node in enumerate(self.nodes):
-            extends = (
-                node.operation in SHARDABLE_OPERATIONS
-                and len(node.inputs) == 1
-                and bool(current)
-                and node.inputs[0] == current[-1]
-                and self.consumers_of(current[-1]) == [index]
-            )
-            if extends:
-                current.append(index)
-                continue
-            if current:
-                segments.append(current)
-            if node.operation in SHARDABLE_OPERATIONS and len(node.inputs) == 1:
-                current = [index]
-            else:
-                current = []
-        if current:
-            segments.append(current)
-        if require_llm:
-            segments = [
-                segment
-                for segment in segments
-                if any(
-                    self.nodes[i].operation in ("LlmFilter", "LlmExtract")
-                    for i in segment
-                )
-            ]
-        return segments
 
     def to_natural_language(self) -> str:
         """The plan narrated step by step (§6.1: plans as natural text)."""

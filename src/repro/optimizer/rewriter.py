@@ -39,13 +39,14 @@ from ..luna.optimizer import (
     LunaOptimizer,
     OptimizerPolicy,
 )
+from ..sycamore.aggregates import COMPARATORS
 from .costmodel import CostModel
 from .report import OptimizerReport
 from .stats import StatsSnapshot, StatsStore
 
-#: Comparators an index scan can apply while reading (mirrors the
-#: executor's ``_comparator`` table).
-SCAN_FILTER_OPS = ("eq", "ne", "lt", "le", "gt", "ge", "contains")
+#: Comparators an index scan can apply while reading: all of them, as
+#: the folded filter runs the same predicate the BasicFilter would.
+SCAN_FILTER_OPS = tuple(COMPARATORS)
 
 #: Cardinality assumed for a scan when the caller knows nothing about
 #: the index (the cost model only needs relative magnitudes to rank).

@@ -8,11 +8,25 @@ and are excluded from numeric aggregates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import operator
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..docmodel.document import Document
 
 AGG_FUNCS = ("sum", "avg", "min", "max", "count", "median")
+
+#: The structured comparison operators, by name: the one table behind
+#: ``filter_by_property``, Luna's ``BasicFilter``, the folded scan filter
+#: and the plan checker's list of valid comparator names.
+COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "contains": lambda a, b: str(b).lower() in str(a).lower(),
+}
 
 
 def property_getter(field: str) -> Callable[[Document], Any]:
@@ -35,6 +49,29 @@ def property_getter(field: str) -> Callable[[Document], Any]:
         return value
 
     return get
+
+
+def property_predicate(field: str, op: str, value: Any) -> Callable[[Document], bool]:
+    """Structured comparison on a property, as a per-document predicate.
+
+    Missing values never match, and neither does a value whose type
+    cannot be compared with ``value``. The predicate never raises.
+    """
+    if op not in COMPARATORS:
+        raise ValueError(f"unknown operator {op!r}; known: {sorted(COMPARATORS)}")
+    compare = COMPARATORS[op]
+    get = property_getter(field)
+
+    def predicate(document: Document) -> bool:
+        actual = get(document)
+        if actual is None:
+            return False
+        try:
+            return bool(compare(actual, value))
+        except TypeError:
+            return False
+
+    return predicate
 
 
 def sort_documents(
@@ -87,6 +124,40 @@ def top_k_values(
         key=lambda item: ((-item[1] if descending else item[1]), str(item[0])),
     )
     return ordered[:k]
+
+
+def distinct_documents(documents: List[Document], field: str) -> List[Document]:
+    """The first document per distinct value of ``field``, in input order.
+
+    List values compare as tuples; other unhashable values by their text.
+    """
+    get = property_getter(field)
+    seen = set()
+    kept = []
+    for document in documents:
+        value = get(document)
+        key = tuple(value) if isinstance(value, list) else value
+        if not _hashable(key):
+            key = str(value)
+        if key not in seen:
+            seen.add(key)
+            kept.append(document)
+    return kept
+
+
+def project_fields(
+    documents: List[Document], fields: "str | Sequence[str]"
+) -> List[Any]:
+    """Values of the named properties, per document.
+
+    One field yields a flat list; several yield one tuple per document.
+    """
+    if isinstance(fields, str):
+        fields = [fields]
+    getters = [property_getter(str(name)) for name in fields]
+    if len(getters) == 1:
+        return [getters[0](document) for document in documents]
+    return [tuple(get(document) for get in getters) for document in documents]
 
 
 def aggregate_field(

@@ -21,26 +21,19 @@ LLM-powered    ``llm_query``, ``llm_filter``, ``extract_properties``,
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..docmodel.document import Document, Node
 from ..docmodel.elements import Element
+from ..execution.executor import ExecutionStats
 from ..execution.materialize import DiskCache, MemoryCache
 from ..execution.plan import Plan
 from ..llm.prompts import PromptTemplate
+from ..runtime import Priority
 from . import aggregates, llm_transforms
 from .context import SycamoreContext
-
-_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "contains": lambda a, b: str(b).lower() in str(a).lower(),
-}
 
 
 class DocSet:
@@ -53,7 +46,7 @@ class DocSet:
     @classmethod
     def from_documents(cls, context: SycamoreContext, documents: Sequence[Document]) -> "DocSet":
         """DocSet over an in-memory document list."""
-        return cls(context, Plan.from_items(list(documents), name="read_documents"))
+        return cls(context, Plan.from_items(documents, name="read_documents"))
 
     # ------------------------------------------------------------------
     # Core functional transforms
@@ -203,40 +196,27 @@ class DocSet:
         self, field: str, op: str, value: Any, name: Optional[str] = None
     ) -> "DocSet":
         """Structured filter on a property; missing values never match."""
-        if op not in _COMPARATORS:
-            raise ValueError(f"unknown operator {op!r}; known: {sorted(_COMPARATORS)}")
-        compare = _COMPARATORS[op]
-        get = aggregates.property_getter(field)
+        predicate = aggregates.property_predicate(field, op, value)
+        return DocSet(
+            self.context,
+            self.plan.filter(predicate, name=name or f"filter_{field}_{op}", inline=True),
+        )
 
-        def predicate(document: Document) -> bool:
-            actual = get(document)
-            if actual is None:
-                return False
-            try:
-                return bool(compare(actual, value))
-            except TypeError:
-                return False
-
-        return self.filter(predicate, name=name or f"filter_{field}_{op}")
+    def _barrier(self, name: str, fn: Callable[..., List[Document]], *args: Any) -> "DocSet":
+        """A collection transform: ``fn(documents, *args)`` sees the whole input."""
+        return DocSet(
+            self.context, self.plan.aggregate(lambda docs: fn(docs, *args), name=name)
+        )
 
     def sort(self, field: str, descending: bool = False) -> "DocSet":
         """Sort by property (barrier); missing values sort last."""
-        return DocSet(
-            self.context,
-            self.plan.aggregate(
-                lambda docs: aggregates.sort_documents(docs, field, descending),
-                name=f"sort_{field}",
-            ),
-        )
+        return self._barrier(f"sort_{field}", aggregates.sort_documents, field, descending)
 
     def limit(self, k: int) -> "DocSet":
         """Keep the first ``k`` documents."""
         if k < 0:
             raise ValueError("limit must be non-negative")
-        return DocSet(
-            self.context,
-            self.plan.aggregate(lambda docs: docs[:k], name=f"limit_{k}"),
-        )
+        return self._barrier(f"limit_{k}", lambda docs: docs[:k])
 
     def reduce_by_key(
         self,
@@ -245,25 +225,23 @@ class DocSet:
     ) -> "DocSet":
         """Group-and-reduce (Table 1); result docs have ``key``/``value``."""
         key_fn = aggregates.property_getter(key) if isinstance(key, str) else key
-        return DocSet(
-            self.context,
-            self.plan.aggregate(
-                lambda docs: aggregates.reduce_by_key(docs, key_fn, reduce_fn),
-                name="reduce_by_key",
-            ),
-        )
+        return self._barrier("reduce_by_key", aggregates.reduce_by_key, key_fn, reduce_fn)
+
+    def distinct(self, field: str) -> "DocSet":
+        """Keep the first document per distinct value of a property."""
+        return self._barrier(f"distinct_{field}", aggregates.distinct_documents, field)
 
     def join(
         self, other: "DocSet", left_on: str, right_on: str, how: str = "inner"
     ) -> "DocSet":
         """Property-equality join with another DocSet (barrier on both sides)."""
-        right_docs = other.take_all()
-        return DocSet(
-            self.context,
-            self.plan.aggregate(
-                lambda docs: aggregates.hash_join(docs, right_docs, left_on, right_on, how),
-                name=f"join_{left_on}_{right_on}",
-            ),
+        return self._barrier(
+            f"join_{left_on}_{right_on}",
+            aggregates.hash_join,
+            other.take_all(),
+            left_on,
+            right_on,
+            how,
         )
 
     # ------------------------------------------------------------------
@@ -291,11 +269,28 @@ class DocSet:
         model: Optional[str] = None,
         num_elements: Optional[int] = None,
         on_error: Optional[str] = None,
+        cascade: Optional[Dict[str, Any]] = None,
+        priority: "Priority | str" = Priority.BULK,
     ) -> "DocSet":
-        """Extract schema fields from each document into properties (Fig. 3)."""
-        fn = llm_transforms.make_extract_properties_fn(
-            self.context, schema, model, num_elements
-        )
+        """Extract schema fields from each document into properties (Fig. 3).
+
+        ``cascade`` (``draft_model``, ``confidence_threshold``) drafts on
+        a cheap model and re-extracts on ``model`` only where the draft
+        left a field empty; see :func:`make_cascade_extract_fn`.
+        """
+        if cascade is None:
+            fn = llm_transforms.make_extract_properties_fn(
+                self.context, schema, model, num_elements, priority
+            )
+        else:
+            fn = llm_transforms.make_cascade_extract_fn(
+                self.context,
+                schema,
+                verify_model=model or self.context.default_model,
+                num_elements=num_elements,
+                priority=priority,
+                **_given(cascade, "draft_model", "confidence_threshold"),
+            )
         return self.map(fn, name="extract_properties", on_error=on_error)
 
     def llm_filter(
@@ -304,9 +299,29 @@ class DocSet:
         model: Optional[str] = None,
         num_elements: Optional[int] = None,
         on_error: Optional[str] = None,
+        cascade: Optional[Dict[str, Any]] = None,
+        priority: "Priority | str" = Priority.BULK,
     ) -> "DocSet":
-        """Keep documents satisfying a natural-language condition."""
-        fn = llm_transforms.make_llm_filter_fn(self.context, condition, model, num_elements)
+        """Keep documents satisfying a natural-language condition.
+
+        ``cascade`` (``draft_model``, ``draft_votes``,
+        ``confidence_threshold``) judges each document on a cheap model
+        first and asks ``model`` only where the draft votes disagree; see
+        :func:`make_cascade_filter_fn`.
+        """
+        if cascade is None:
+            fn = llm_transforms.make_llm_filter_fn(
+                self.context, condition, model, num_elements, priority
+            )
+        else:
+            fn = llm_transforms.make_cascade_filter_fn(
+                self.context,
+                condition,
+                verify_model=model or self.context.default_model,
+                num_elements=num_elements,
+                priority=priority,
+                **_given(cascade, "draft_model", "draft_votes", "confidence_threshold"),
+            )
         return self.filter(fn, name="llm_filter", on_error=on_error)
 
     def summarize(
@@ -371,23 +386,32 @@ class DocSet:
             cache = MemoryCache()
         return DocSet(self.context, self.plan.materialize(cache))
 
+    def execute(
+        self, on_error: Optional[str] = None, limit: Optional[int] = None
+    ) -> Tuple[List[Document], ExecutionStats]:
+        """Run the plan: (up to ``limit`` documents, the run's stats).
+
+        The one run path: every terminal below, each Luna plan node and
+        each cluster shard goes through it. ``on_error`` overrides the
+        context's failure-containment policy for this run.
+        """
+        return self._run(lambda records: list(islice(records, limit)), on_error)
+
+    def _run(
+        self, consume: Callable[[Iterable[Document]], Any], on_error: Optional[str] = None
+    ) -> Tuple[Any, ExecutionStats]:
+        executor = self.context.executor(on_error=on_error)
+        consumed = consume(executor.execute(self.plan))
+        self.context.last_stats = executor.last_stats
+        return consumed, executor.last_stats
+
     def take_all(self) -> List[Document]:
         """Execute the plan and collect every document."""
-        executor = self.context.executor()
-        documents = executor.take_all(self.plan)
-        self.context.last_stats = executor.last_stats
-        return documents
+        return self.execute()[0]
 
     def take(self, k: int) -> List[Document]:
         """Execute and collect up to k output documents."""
-        executor = self.context.executor()
-        results = []
-        for document in executor.execute(self.plan):
-            results.append(document)
-            if len(results) >= k:
-                break
-        self.context.last_stats = executor.last_stats
-        return results
+        return self.execute(limit=k)[0]
 
     def first(self) -> Optional[Document]:
         """The first output document, or None."""
@@ -395,49 +419,15 @@ class DocSet:
         return taken[0] if taken else None
 
     def count(self) -> int:
-        """Execute and count the documents."""
-        executor = self.context.executor()
-        total = executor.count(self.plan)
-        self.context.last_stats = executor.last_stats
-        return total
-
-    def distinct(self, field: str) -> "DocSet":
-        """Keep the first document per distinct value of a property."""
-
-        def dedupe(documents: List[Document]) -> List[Document]:
-            get = aggregates.property_getter(field)
-            seen = set()
-            kept = []
-            for document in documents:
-                value = get(document)
-                try:
-                    key = value if not isinstance(value, list) else tuple(value)
-                    hash(key)
-                except TypeError:
-                    key = str(value)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(document)
-            return kept
-
-        return DocSet(
-            self.context,
-            self.plan.aggregate(dedupe, name=f"distinct_{field}"),
-        )
+        """Execute and count the documents (streamed, never collected)."""
+        return self._run(lambda records: sum(1 for _ in records))[0]
 
     def project(self, fields: "str | Sequence[str]") -> List[Any]:
         """Values of the named properties, per document (terminal).
 
-        One field yields a flat list; several yield tuples — the shape
-        Luna's ``Project`` operator returns.
+        One field yields a flat list; several yield tuples.
         """
-        if isinstance(fields, str):
-            fields = [fields]
-        getters = [aggregates.property_getter(str(f)) for f in fields]
-        documents = self.take_all()
-        if len(getters) == 1:
-            return [getters[0](d) for d in documents]
-        return [tuple(get(d) for get in getters) for d in documents]
+        return aggregates.project_fields(self.take_all(), fields)
 
     def top_k(self, field: str, k: int = 1, descending: bool = True) -> List[tuple]:
         """(value, count) pairs of the most/least frequent property values."""
@@ -448,16 +438,19 @@ class DocSet:
     ) -> Union[Optional[float], Dict[Any, Optional[float]]]:
         """Numeric aggregate over a property, optionally grouped."""
         documents = self.take_all()
-        if group_by is None:
+        if not group_by:
             return aggregates.aggregate_field(documents, func, field)
         return aggregates.grouped_aggregate(documents, func, field, group_by)
 
     def summarize_all(
-        self, model: Optional[str] = None, question: Optional[str] = None
+        self,
+        model: Optional[str] = None,
+        question: Optional[str] = None,
+        priority: "Priority | str" = Priority.BULK,
     ) -> str:
         """Collection-level synthesis (terminal)."""
         return llm_transforms.summarize_collection(
-            self.context, self.take_all(), model=model, question=question
+            self.context, self.take_all(), model=model, question=question, priority=priority
         )
 
     def explain(self) -> str:
@@ -470,6 +463,11 @@ class DocSet:
     def write(self) -> "DocSetWriter":
         """The terminal-sink namespace for this DocSet."""
         return DocSetWriter(self)
+
+
+def _given(options: Dict[str, Any], *names: str) -> Dict[str, Any]:
+    """The named entries that are present; absent ones keep the callee's default."""
+    return {name: options[name] for name in names if name in options}
 
 
 def _rewrite_elements(node: Optional[Node], fn: Callable[[Element], Element]) -> None:

@@ -216,7 +216,7 @@ def make_cascade_filter_fn(
     context: SycamoreContext,
     condition: str,
     verify_model: str,
-    draft_model: str,
+    draft_model: str = "sim-small",
     draft_votes: int = 2,
     confidence_threshold: float = 0.75,
     num_elements: Optional[int] = None,
@@ -275,7 +275,7 @@ def make_cascade_extract_fn(
     context: SycamoreContext,
     schema: Dict[str, str],
     verify_model: str,
-    draft_model: str,
+    draft_model: str = "sim-small",
     confidence_threshold: float = 0.75,
     num_elements: Optional[int] = None,
     priority: "Priority | str" = Priority.BULK,
@@ -441,8 +441,11 @@ def summarize_collection(
 
     Packs per-document text (truncated) into one prompt, separated by
     ``---`` markers, and asks for a synthesis; an optional ``question``
-    focuses it.
+    focuses it. An empty collection has nothing to synthesise and makes
+    no LLM call.
     """
+    if not documents:
+        return "No matching records."
     model_name = model or context.default_model
     parts = []
     for document in documents[:max_docs]:

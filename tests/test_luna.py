@@ -4,7 +4,9 @@ and the human-in-the-loop session API."""
 import pytest
 
 from repro.docmodel import Document
+from repro.luna.codegen import run_code
 from repro.luna import (
+    OPERATOR_SPECS,
     BALANCED_POLICY,
     COST_POLICY,
     LogicalPlan,
@@ -451,6 +453,297 @@ class TestCodegen:
         assert ".sort('f', descending=False)" in code
         assert ".limit(5)" in code
         assert "top_k('f', k=2, descending=True)" in code
+
+
+def _scan(index="ntsb", **params):
+    return {"operation": "QueryIndex", "inputs": [], "index": index, **params}
+
+
+#: name -> (optimizer policy, plan). Together the optimized plans use
+#: every operation in OPERATOR_SPECS (asserted below).
+SCRIPT_PLANS = {
+    "scan filter folded into the scan": ("balanced", [
+        _scan(),
+        {"operation": "BasicFilter", "inputs": [0], "field": "weather_related",
+         "op": "eq", "value": True},
+        {"operation": "Count", "inputs": [1]},
+    ]),
+    "retrieval at the default k": ("balanced", [
+        _scan(query="icing"),
+        {"operation": "Count", "inputs": [0]},
+    ]),
+    "retrieval at an explicit k": ("balanced", [
+        _scan(query="engine failure", k=7),
+        {"operation": "Project", "inputs": [0], "fields": ["state", "incident_year"]},
+    ]),
+    "figure 5: two filter-count branches and math": ("quality", [
+        _scan(),
+        {"operation": "LlmFilter", "inputs": [0],
+         "condition": "caused by environmental factors"},
+        {"operation": "Count", "inputs": [1]},
+        {"operation": "LlmFilter", "inputs": [1], "condition": "caused by wind"},
+        {"operation": "Count", "inputs": [3]},
+        {"operation": "Math", "inputs": [2, 4], "expression": "100 * #4 / #2"},
+    ]),
+    "extract, filter on it, grouped aggregate": ("balanced", [
+        _scan(),
+        {"operation": "LlmExtract", "inputs": [0], "field": "aircraft_damage",
+         "type": "string"},
+        {"operation": "BasicFilter", "inputs": [1], "field": "incident_year",
+         "op": "ge", "value": 2021},
+        {"operation": "Aggregate", "inputs": [2], "func": "sum",
+         "field": "injuries_fatal", "group_by": "state"},
+    ]),
+    "cascade-annotated filter and extract": ("cascade", [
+        _scan(),
+        {"operation": "LlmFilter", "inputs": [0], "condition": "caused by icing",
+         "model": "sim-large"},
+        {"operation": "LlmExtract", "inputs": [1], "field": "phase_of_flight",
+         "model": "sim-large"},
+        {"operation": "Project", "inputs": [2], "fields": ["phase_of_flight"]},
+    ]),
+    "top-k": ("balanced", [
+        _scan(),
+        {"operation": "TopK", "inputs": [0], "field": "state", "k": 3},
+    ]),
+    "sort, limit, identity (a document-set answer)": ("balanced", [
+        _scan(),
+        {"operation": "Sort", "inputs": [0], "field": "injuries_fatal",
+         "descending": True},
+        {"operation": "Limit", "inputs": [1], "k": 4},
+        {"operation": "Identity", "inputs": [2]},
+    ]),
+    "distinct": ("balanced", [
+        _scan(),
+        {"operation": "Distinct", "inputs": [0], "field": "state"},
+        {"operation": "Count", "inputs": [1]},
+    ]),
+    "left join of two scans": ("balanced", [
+        _scan(),
+        _scan(),
+        {"operation": "Join", "inputs": [0, 1], "left_on": "state",
+         "right_on": "state", "how": "left"},
+        {"operation": "Count", "inputs": [2]},
+    ]),
+    "summary with a question": ("balanced", [
+        _scan(),
+        {"operation": "Limit", "inputs": [0], "k": 3},
+        {"operation": "Summarize", "inputs": [1], "model": "sim-oracle",
+         "question": "what happened?"},
+    ]),
+    "summary of nothing": ("balanced", [
+        _scan(),
+        {"operation": "BasicFilter", "inputs": [0], "field": "state", "op": "eq",
+         "value": "ZZ"},
+        {"operation": "Summarize", "inputs": [1]},
+    ]),
+}
+
+
+class TestGeneratedCodeRuns:
+    """``LunaResult.code`` is what ran: executing it gives the answer."""
+
+    @staticmethod
+    def _comparable(value):
+        if isinstance(value, list) and value and isinstance(value[0], Document):
+            return [document.to_dict() for document in value]
+        return value
+
+    def _assert_script_agrees(self, context, policy, nodes):
+        result = Luna(context, policy=policy).execute_plan("q", "ntsb", plan_from(nodes))
+        calls_before = context.cost_tracker.summary().calls
+        rerun = run_code(result.code, context)
+        assert self._comparable(rerun) == self._comparable(result.answer), result.code
+        return result, context.cost_tracker.summary().calls - calls_before
+
+    @pytest.mark.parametrize("name", SCRIPT_PLANS)
+    def test_script_returns_the_executors_answer(self, indexed_context, name):
+        policy, nodes = SCRIPT_PLANS[name]
+        self._assert_script_agrees(indexed_context, policy, nodes)
+
+    def test_follow_up_script_rereads_the_previous_answer(self, indexed_context):
+        doc_ids = [d.doc_id for d in indexed_context.catalog.get("ntsb").all_documents()][:9]
+        result, _ = self._assert_script_agrees(indexed_context, "balanced", [
+            {"operation": "FromDocuments", "inputs": [], "index": "ntsb",
+             "doc_ids": doc_ids},
+            {"operation": "Count", "inputs": [0]},
+        ])
+        assert result.answer == 9
+
+    def test_every_operator_is_covered(self, indexed_context):
+        used = {"FromDocuments"}  # the follow-up test above
+        for policy, nodes in SCRIPT_PLANS.values():
+            optimized = Luna(indexed_context, policy=policy).optimizer.optimize(
+                plan_from(nodes), schema=indexed_context.catalog.get("ntsb").schema
+            )[0]
+            used.update(node.operation for node in optimized.nodes)
+        assert used == set(OPERATOR_SPECS)
+
+    def test_folded_scan_filter_is_in_the_script(self, indexed_context, ntsb_corpus):
+        policy, nodes = SCRIPT_PLANS["scan filter folded into the scan"]
+        result, _ = self._assert_script_agrees(indexed_context, policy, nodes)
+        assert result.optimized_plan.nodes[1].operation == "Identity"  # folded
+        assert ".filter_by_property('weather_related', 'eq', True)" in result.code
+        docs = indexed_context.catalog.get("ntsb").all_documents()
+        assert result.answer == sum(
+            1 for d in docs if d.properties.get("weather_related") is True
+        ) < len(docs)
+
+    def test_retrieval_prints_its_k(self, indexed_context):
+        policy, nodes = SCRIPT_PLANS["retrieval at the default k"]
+        result, _ = self._assert_script_agrees(indexed_context, policy, nodes)
+        assert "query='icing', k=20" in result.code
+        assert result.answer == 20
+
+    def test_cascade_is_in_the_script(self, indexed_context):
+        policy, nodes = SCRIPT_PLANS["cascade-annotated filter and extract"]
+        result, _ = self._assert_script_agrees(indexed_context, policy, nodes)
+        assert result.code.count("cascade={'draft_model': 'sim-small'") == 2
+
+    def test_empty_summary_makes_no_llm_call_on_either_path(self, indexed_context):
+        policy, nodes = SCRIPT_PLANS["summary of nothing"]
+        result, script_calls = self._assert_script_agrees(indexed_context, policy, nodes)
+        assert result.answer == "No matching records."
+        assert result.trace.total_llm_calls() == 0
+        assert script_calls == 0
+
+
+class TestConcurrentExecutionsOnOneExecutor:
+    """One LunaExecutor, two queries at once: neither sees the other's
+    query id, cluster stats or record-loss counts."""
+
+    PLAN = [
+        {"operation": "QueryIndex", "inputs": [], "index": None},
+        {"operation": "LlmExtract", "inputs": [0], "field": "cause"},
+        {"operation": "Count", "inputs": [1]},
+    ]
+    #: What the stub cluster reports per query: (dead_lettered, skipped).
+    LOSSES = {"A": (2, 0), "B": (0, 5)}
+
+    @pytest.fixture()
+    def clustered(self):
+        import threading
+        from types import SimpleNamespace
+
+        with SycamoreContext(parallelism=1, seed=0) as ctx:
+            for name in ("a", "b"):
+                ctx.catalog.create(name).add_documents(
+                    [Document(text=f"{name}{i}", properties={"n": i}) for i in range(3)]
+                )
+            dispatched = []  # (query_id, first document text), in dispatch order
+            b_dispatched = threading.Event()
+
+            def run_segment(documents, spec, query_id="", partial="raise"):
+                dispatched.append((query_id, documents[0].text))
+                if query_id == "B":
+                    b_dispatched.set()
+                dead_lettered, skipped = self.LOSSES[query_id]
+                return SimpleNamespace(
+                    documents=documents, status="ok", llm_calls=0, cost_usd=0.0,
+                    dead_lettered=dead_lettered, skipped=skipped,
+                )
+
+            ctx.cluster = SimpleNamespace(
+                config=SimpleNamespace(min_cluster_docs=0), run_segment=run_segment
+            )
+            yield ctx, dispatched, b_dispatched
+
+    def _plan(self, index):
+        nodes = [dict(node) for node in self.PLAN]
+        nodes[0]["index"] = index
+        return plan_from(nodes)
+
+    def _run_both(self, executor, a_kwargs, b_done):
+        """Run query A (gated by the caller) and query B on two threads;
+        B runs to completion while A is held."""
+        import threading
+
+        traces = {}
+
+        def run(query_id, index, **kwargs):
+            traces[query_id] = executor.execute(
+                self._plan(index), query_id=query_id, **kwargs
+            )[1]
+            if query_id == "B":
+                b_done.set()
+
+        a = threading.Thread(target=run, args=("A", "a"), kwargs=a_kwargs)
+        b = threading.Thread(target=run, args=("B", "b"))
+        a.start()
+        b.start()
+        for thread in (a, b):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        return traces
+
+    def test_a_segment_is_dispatched_under_its_own_query_id(self, clustered):
+        import threading
+
+        ctx, dispatched, b_dispatched = clustered
+        # Hold A inside its QueryIndex until B has dispatched its segment.
+        index_a = ctx.catalog.get("a")
+        read_a = index_a.all_documents
+
+        def gated_read():
+            assert b_dispatched.wait(timeout=30)
+            return read_a()
+
+        index_a.all_documents = gated_read
+        self._run_both(LunaExecutor(ctx), {}, threading.Event())
+        assert dispatched == [("B", "b0"), ("A", "a0")]
+
+    def test_record_losses_land_on_the_right_trace(self, clustered):
+        import threading
+
+        ctx, _, _ = clustered
+        b_done = threading.Event()
+
+        def hold_a_until_b_is_done(index, operation, output):
+            # A has run its LlmExtract but not yet recorded it.
+            if operation == "LlmExtract":
+                assert b_done.wait(timeout=30)
+
+        traces = self._run_both(
+            LunaExecutor(ctx), {"journal_writer": hold_a_until_b_is_done}, b_done
+        )
+        for query_id, (dead_lettered, skipped) in self.LOSSES.items():
+            entry = traces[query_id].entries[1]
+            assert (entry.dead_lettered, entry.skipped) == (dead_lettered, skipped)
+            assert traces[query_id].partial
+
+
+    def test_eight_threads_share_one_executor(self, clustered):
+        import sys
+        import threading
+
+        ctx, dispatched, _ = clustered
+        executor = LunaExecutor(ctx)
+        wrong = []
+
+        def run(query_id):
+            for _ in range(25):
+                trace = executor.execute(
+                    self._plan(query_id.lower()), query_id=query_id
+                )[1]
+                entry = trace.entries[1]
+                if (entry.dead_lettered, entry.skipped) != self.LOSSES[query_id]:
+                    wrong.append((query_id, entry.dead_lettered, entry.skipped))
+
+        threads = [threading.Thread(target=run, args=("AB"[i % 2],)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
+        assert len(dispatched) == 8 * 25
+        # Index "a" was only ever scattered under query id "A", "b" under "B".
+        assert {(query_id, text[0]) for query_id, text in dispatched} == {("A", "a"), ("B", "b")}
 
 
 class TestLunaEndToEnd:

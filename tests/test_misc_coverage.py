@@ -253,4 +253,5 @@ class TestFollowUpQueries:
                 {"operation": "Count", "inputs": [0]},
             ]
         )
-        assert "previous_answer_documents" in generate_code(plan)
+        # Self-contained: the previous answer's documents are re-read by id.
+        assert "docstore.get_many(['a', 'b'])" in generate_code(plan)

@@ -15,9 +15,28 @@ from repro.execution import Executor, Plan
 from repro.indexes import KeywordIndex, VectorIndex
 from repro.llm import count_tokens, repair_json, render_task_prompt, parse_task_prompt, truncate_to_tokens
 from repro.llm.errors import MalformedOutputError
-from repro.luna import evaluate, MathEvaluationError
+from repro.llm import ReliableLLM, SimulatedLLM
+from repro.luna import (
+    LogicalPlan,
+    LunaExecutor,
+    MathEvaluationError,
+    PlanExecutionError,
+    PlanValidationError,
+    evaluate,
+    referenced_nodes,
+)
+from repro.luna.lowering import Scope, lower
 from repro.partitioner import ArynPartitioner
+from repro.runtime import Priority
+from repro.sycamore import SycamoreContext, aggregates
 from repro.sycamore.aggregates import aggregate_field, sort_documents, top_k_values
+from repro.sycamore.llm_transforms import (
+    make_cascade_extract_fn,
+    make_cascade_filter_fn,
+    make_extract_properties_fn,
+    make_llm_filter_fn,
+    summarize_collection,
+)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -418,3 +437,445 @@ class TestIndexProperties:
         index.add("a", [1, 0, 0, 0, 0, 0, 0, 0])
         for hit in index.search(vector, k=1):
             assert -1.0 - 1e-9 <= hit.score <= 1.0 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Luna plan execution vs the per-operator interpreter it replaced
+# ----------------------------------------------------------------------
+
+
+class ReferenceInterpreter:
+    """The ``_op_*`` handlers ``LunaExecutor`` had before every operator
+    was lowered through ``repro.luna.lowering.LOWERING``, kept as the
+    reference the walker is compared against. Runs on one thread and
+    counts a node's LLM calls off the backend's own call counter."""
+
+    def __init__(self, context, backend):
+        self.context = context
+        self.backend = backend
+
+    def run(self, plan):
+        """Per node: (records_in, records_out, llm_calls, document_ids, output)."""
+        results, rows = {}, []
+        for index, node in enumerate(plan.nodes):
+            inputs = [results[i] for i in node.inputs]
+            calls_before = self.backend.calls
+            output = getattr(self, f"_op_{node.operation.lower()}")(node, inputs, results)
+            results[index] = output
+            rows.append(
+                (
+                    (len(inputs[0]) if isinstance(inputs[0], list) else 1) if inputs else 0,
+                    len(output) if isinstance(output, list) else 1,
+                    self.backend.calls - calls_before,
+                    self._document_ids(output),
+                    output,
+                )
+            )
+        return rows
+
+    @staticmethod
+    def _document_ids(value, cap=50):
+        if isinstance(value, list) and value and isinstance(value[0], Document):
+            return [d.doc_id for d in value[:cap]]
+        return []
+
+    def _run_docset_plan(self, plan):
+        return self.context.executor(on_error=None).take_all(plan)
+
+    @staticmethod
+    def _require_documents(node, value):
+        if isinstance(value, list) and all(isinstance(v, Document) for v in value):
+            return value
+        raise PlanValidationError(
+            f"{node.operation} expects a document set input, got {type(value).__name__}"
+        )
+
+    @staticmethod
+    def _comparator(op):
+        comparators = {
+            "eq": lambda a, b: a == b,
+            "ne": lambda a, b: a != b,
+            "lt": lambda a, b: a < b,
+            "le": lambda a, b: a <= b,
+            "gt": lambda a, b: a > b,
+            "ge": lambda a, b: a >= b,
+            "contains": lambda a, b: str(b).lower() in str(a).lower(),
+        }
+        if op not in comparators:
+            raise PlanValidationError(f"unknown comparison operator {op!r}")
+        return comparators[op]
+
+    def _structured_filter(self, documents, field_name, op, value):
+        get = aggregates.property_getter(field_name)
+        compare = self._comparator(op)
+        kept = []
+        for document in documents:
+            actual = get(document)
+            if actual is None:
+                continue
+            try:
+                if compare(actual, value):
+                    kept.append(document)
+            except TypeError:
+                continue
+        return kept
+
+    def _op_queryindex(self, node, inputs, _):
+        index = self.context.catalog.get(str(node.params["index"]))
+        query = node.params.get("query")
+        if query:
+            return index.search_hybrid(str(query), k=int(node.params.get("k", 20)))
+        documents = index.all_documents()
+        filter_field = node.params.get("filter_field")
+        if filter_field:
+            return self._structured_filter(
+                documents,
+                str(filter_field),
+                str(node.params.get("filter_op", "eq")),
+                node.params.get("filter_value"),
+            )
+        return documents
+
+    def _op_fromdocuments(self, node, inputs, _):
+        index = self.context.catalog.get(str(node.params["index"]))
+        return index.docstore.get_many([str(d) for d in node.params.get("doc_ids", [])])
+
+    def _op_basicfilter(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        return self._structured_filter(
+            documents, str(node.params["field"]), str(node.params["op"]), node.params["value"]
+        )
+
+    def _op_llmfilter(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        cascade = node.params.get("cascade")
+        if isinstance(cascade, dict):
+            predicate = make_cascade_filter_fn(
+                self.context,
+                condition=str(node.params["condition"]),
+                verify_model=str(node.params.get("model") or self.context.default_model),
+                draft_model=str(cascade.get("draft_model", "sim-small")),
+                draft_votes=int(cascade.get("draft_votes", 2)),
+                confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
+                priority=Priority.INTERACTIVE,
+            )
+            return self._run_docset_plan(Plan.from_items(documents).filter(predicate))
+        predicate = make_llm_filter_fn(
+            self.context,
+            condition=str(node.params["condition"]),
+            model=node.params.get("model"),
+            priority=Priority.INTERACTIVE,
+        )
+        return self._run_docset_plan(Plan.from_items(documents).filter(predicate))
+
+    def _op_llmextract(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        schema = {str(node.params["field"]): str(node.params.get("type", "string"))}
+        cascade = node.params.get("cascade")
+        if isinstance(cascade, dict):
+            fn = make_cascade_extract_fn(
+                self.context,
+                schema,
+                verify_model=str(node.params.get("model") or self.context.default_model),
+                draft_model=str(cascade.get("draft_model", "sim-small")),
+                confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
+                priority=Priority.INTERACTIVE,
+            )
+            return self._run_docset_plan(Plan.from_items(documents).map(fn))
+        fn = make_extract_properties_fn(
+            self.context, schema, model=node.params.get("model"), priority=Priority.INTERACTIVE
+        )
+        return self._run_docset_plan(Plan.from_items(documents).map(fn))
+
+    def _op_count(self, node, inputs, _):
+        return len(self._require_documents(node, inputs[0]))
+
+    def _op_aggregate(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        func, field_name = str(node.params["func"]), str(node.params["field"])
+        group_by = node.params.get("group_by")
+        if group_by:
+            return aggregates.grouped_aggregate(documents, func, field_name, str(group_by))
+        return aggregates.aggregate_field(documents, func, field_name)
+
+    def _op_topk(self, node, inputs, _):
+        return aggregates.top_k_values(
+            self._require_documents(node, inputs[0]),
+            str(node.params["field"]),
+            k=int(node.params.get("k", 1)),
+            descending=bool(node.params.get("descending", True)),
+        )
+
+    def _op_sort(self, node, inputs, _):
+        return aggregates.sort_documents(
+            self._require_documents(node, inputs[0]),
+            str(node.params["field"]),
+            descending=bool(node.params.get("descending", False)),
+        )
+
+    def _op_limit(self, node, inputs, _):
+        return self._require_documents(node, inputs[0])[: int(node.params["k"])]
+
+    def _op_distinct(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        get = aggregates.property_getter(str(node.params["field"]))
+        seen = set()
+        kept = []
+        for document in documents:
+            value = get(document)
+            try:
+                key = value if not isinstance(value, list) else tuple(value)
+                hash(key)
+            except TypeError:
+                key = str(value)
+            if key in seen:
+                continue
+            seen.add(key)
+            kept.append(document)
+        return kept
+
+    def _op_project(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        fields = node.params["fields"]
+        if isinstance(fields, str):
+            fields = [fields]
+        getters = [aggregates.property_getter(str(f)) for f in fields]
+        if len(getters) == 1:
+            return [getters[0](d) for d in documents]
+        return [tuple(get(d) for get in getters) for d in documents]
+
+    def _op_join(self, node, inputs, _):
+        return aggregates.hash_join(
+            self._require_documents(node, inputs[0]),
+            self._require_documents(node, inputs[1]),
+            str(node.params["left_on"]),
+            str(node.params["right_on"]),
+            how=str(node.params.get("how", "inner")),
+        )
+
+    def _op_math(self, node, inputs, results):
+        expression = str(node.params["expression"])
+        values = {}
+        for reference in referenced_nodes(expression):
+            if reference not in results:
+                raise MathEvaluationError(
+                    f"expression references unevaluated node #{reference}"
+                )
+            value = results[reference]
+            if not isinstance(value, (int, float)):
+                raise MathEvaluationError(f"node result {value!r} is not numeric")
+            values[reference] = float(value)
+        return evaluate(expression, values)
+
+    def _op_summarize(self, node, inputs, _):
+        documents = self._require_documents(node, inputs[0])
+        if not documents:
+            return "No matching records."
+        return summarize_collection(
+            self.context,
+            documents,
+            model=node.params.get("model"),
+            question=node.params.get("question"),
+            priority=Priority.INTERACTIVE,
+        )
+
+    def _op_identity(self, node, inputs, _):
+        return inputs[0]
+
+
+#: A small corpus with every awkwardness the operators must tolerate:
+#: missing values, a field whose type varies (comparing or sorting it
+#: raises TypeError), a list-valued field, a nested one.
+LUNA_CORPUS = [
+    ("gusty crosswind during the landing flare", {"state": "AK", "year": 2021, "n": 3, "tags": ["wind", "landing"], "meta": {"pages": 4}}),
+    ("engine failure shortly after takeoff", {"state": "TX", "year": 2022, "n": "three", "tags": ["engine"], "meta": {"pages": 9}}),
+    ("severe airframe icing in cruise", {"state": "AK", "year": 2022, "n": 7.5, "tags": ["wind", "landing"]}),
+    ("wind shear on short final", {"state": None, "year": 2023, "n": None, "tags": [], "meta": {"pages": 4}}),
+    ("fuel exhaustion over open water", {"year": 2021, "n": 3, "tags": [["nested"], "x"]}),
+    ("bird strike on the initial climb", {"state": "ak", "year": 2023, "n": True, "tags": "engine"}),
+    ("runway excursion in a strong crosswind", {"state": "TX", "year": 2020, "n": -2}),
+]
+LUNA_FIELDS = ["state", "year", "n", "tags", "meta.pages", "absent"]
+LUNA_VALUES = ["AK", "a", 2022, 3, 7.5, True, None, "three", ["wind", "landing"]]
+
+luna_fields = st.sampled_from(LUNA_FIELDS)
+record_steps = st.one_of(
+    st.builds(
+        lambda f, op, v: {"operation": "BasicFilter", "field": f, "op": op, "value": v},
+        luna_fields,
+        st.sampled_from(sorted(aggregates.COMPARATORS)),
+        st.sampled_from(LUNA_VALUES),
+    ),
+    st.builds(
+        lambda f, d: {"operation": "Sort", "field": f, "descending": d},
+        luna_fields,
+        st.booleans(),
+    ),
+    st.builds(lambda k: {"operation": "Limit", "k": k}, st.integers(1, len(LUNA_CORPUS) + 3)),
+    st.builds(lambda f: {"operation": "Distinct", "field": f}, luna_fields),
+    st.just({"operation": "Identity"}),
+)
+terminal_steps = st.one_of(
+    st.just({"operation": "Count"}),
+    st.builds(
+        lambda func, f, g: {"operation": "Aggregate", "func": func, "field": f, "group_by": g},
+        st.sampled_from(aggregates.AGG_FUNCS),
+        luna_fields,
+        st.none() | luna_fields,
+    ),
+    st.builds(
+        lambda f, k, d: {"operation": "TopK", "field": f, "k": k, "descending": d},
+        luna_fields,
+        st.integers(1, 4),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda fs: {"operation": "Project", "fields": fs},
+        st.lists(luna_fields, min_size=1, max_size=3),
+    ),
+    st.just({"operation": "Summarize", "model": "sim-oracle"}),
+)
+scans = st.one_of(
+    st.just({"operation": "QueryIndex", "index": "luna"}),
+    st.builds(
+        lambda q, k: {"operation": "QueryIndex", "index": "luna", "query": q, "k": k},
+        st.sampled_from(["crosswind landing", "engine"]),
+        st.integers(1, 9),
+    ),
+    st.builds(
+        lambda f, op, v: {
+            "operation": "QueryIndex", "index": "luna",
+            "filter_field": f, "filter_op": op, "filter_value": v,
+        },
+        luna_fields,
+        st.sampled_from(sorted(aggregates.COMPARATORS)),
+        st.sampled_from(LUNA_VALUES),
+    ),
+)
+
+
+@st.composite
+def luna_plans(draw):
+    """A scan, a chain of record operators, then either one terminal
+    (linear) or two counted branches off the chain joined by a Math node,
+    or a Join of the chain with a second scan (fan-out)."""
+    nodes = [dict(draw(scans), inputs=[])]
+
+    def chain(source, steps):
+        for step in steps:
+            nodes.append(dict(step, inputs=[source]))
+            source = len(nodes) - 1
+        return source
+
+    trunk = chain(0, draw(st.lists(record_steps, max_size=3)))
+    shape = draw(st.sampled_from(["linear", "linear", "math", "join"]))
+    if shape == "linear":
+        chain(trunk, draw(st.lists(terminal_steps, max_size=1)))
+    elif shape == "math":
+        counts = []
+        for _ in range(2):
+            branch = chain(trunk, draw(st.lists(record_steps, max_size=2)))
+            counts.append(chain(branch, [{"operation": "Count"}]))
+        expression = draw(st.sampled_from(["100 * #{1} / #{0}", "#{0} - #{1}", "#{0} * 2"]))
+        nodes.append(
+            {"operation": "Math", "inputs": counts, "expression": expression.format(*counts)}
+        )
+    else:
+        nodes.append(dict(draw(scans), inputs=[]))
+        nodes.append(
+            {
+                "operation": "Join",
+                "inputs": [trunk, len(nodes) - 1],
+                "left_on": draw(luna_fields),
+                "right_on": draw(luna_fields),
+                "how": draw(st.sampled_from(["inner", "left"])),
+            }
+        )
+        chain(len(nodes) - 1, draw(st.lists(terminal_steps, max_size=1)))
+    return LogicalPlan.from_json(nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def _luna_context():
+    backend = SimulatedLLM(seed=0)
+    context = SycamoreContext(llm=ReliableLLM(backend, cache_enabled=False), parallelism=1)
+    context.catalog.create("luna").add_documents(
+        [
+            Document(doc_id=f"luna-{i}", text=text, properties=dict(properties))
+            for i, (text, properties) in enumerate(LUNA_CORPUS)
+        ]
+    )
+    return context, backend
+
+
+def _comparable(value):
+    if isinstance(value, list) and value and isinstance(value[0], Document):
+        return [document.to_dict() for document in value]
+    return value
+
+
+def assert_walker_matches_reference(plan):
+    context, backend = _luna_context()
+    try:
+        expected = ReferenceInterpreter(context, backend).run(plan)
+    except Exception as exc:  # noqa: BLE001 - the walker must fail the same way
+        with pytest.raises(type(exc) if isinstance(exc, TypeError) else PlanExecutionError) as caught:
+            LunaExecutor(context).execute(plan)
+        assert str(exc) in str(caught.value)
+        return
+    answer, trace = LunaExecutor(context).execute(plan)
+    assert _comparable(answer) == _comparable(expected[-1][-1])
+    actual = [
+        (e.records_in, e.records_out, e.llm_calls, e.document_ids) for e in trace.entries
+    ]
+    assert actual == [row[:4] for row in expected]
+
+
+class TestLunaWalkerMatchesReferenceInterpreter:
+    @given(luna_plans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_plans(self, plan):
+        assert_walker_matches_reference(plan)
+
+    @pytest.mark.parametrize("cascade", [None, {"draft_model": "sim-small", "draft_votes": 3, "confidence_threshold": 0.9}, {"confidence_threshold": 2}])
+    def test_llm_operators_and_cascades(self, cascade):
+        annotate = {} if cascade is None else {"cascade": cascade}
+        assert_walker_matches_reference(
+            LogicalPlan.from_json(
+                [
+                    {"operation": "QueryIndex", "inputs": [], "index": "luna"},
+                    {"operation": "LlmFilter", "inputs": [0], "model": "sim-oracle",
+                     "condition": "caused by wind", **annotate},
+                    {"operation": "Count", "inputs": [1]},
+                    {"operation": "LlmExtract", "inputs": [0], "model": "sim-oracle",
+                     "field": "weather_related", "type": "bool", **annotate},
+                    {"operation": "BasicFilter", "inputs": [3], "field": "weather_related",
+                     "op": "eq", "value": True},
+                    {"operation": "Count", "inputs": [4]},
+                    {"operation": "Math", "inputs": [2, 5], "expression": "#2 + #5"},
+                ]
+            )
+        )
+
+    def test_follow_up_source(self):
+        assert_walker_matches_reference(
+            LogicalPlan.from_json(
+                [
+                    {"operation": "FromDocuments", "inputs": [], "index": "luna",
+                     "doc_ids": ["luna-4", "luna-0", "luna-missing"]},
+                    {"operation": "Project", "inputs": [0], "fields": ["year"]},
+                ]
+            )
+        )
+
+    @pytest.mark.parametrize("k", [0, len(LUNA_CORPUS) + 5])
+    def test_limit_at_the_edges(self, k):
+        # plancheck rejects k < 1 before execution, so compare the
+        # operator itself: its lowering against the old handler.
+        context, backend = _luna_context()
+        documents = context.catalog.get("luna").all_documents()
+        node = LogicalPlan.from_json([{"operation": "Limit", "inputs": [0], "k": k}]).nodes[0]
+        lowered = lower("Limit", node.params, Scope(context), [context.read.documents(documents)])
+        assert lowered.take_all() == ReferenceInterpreter(context, backend)._op_limit(
+            node, [documents], {}
+        )

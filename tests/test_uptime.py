@@ -16,6 +16,7 @@ from repro.llm import CostTracker, ReliableLLM, SimulatedLLM
 from repro.llm.base import Usage, get_model_spec
 from repro.llm.cost import RECENT_RECORDS, CostSummary
 from repro.luna import Luna
+from repro.luna.history import RECENT_RESULTS
 from repro.observability import CostAccount, Tracer
 from repro.sycamore import SycamoreContext
 
@@ -146,6 +147,35 @@ class TestTraceRetention:
         rolled = CostAccount.from_spans(spans)
         assert rolled.as_dict()["operators"] == result.trace.cost.as_dict()["operators"]
         assert rolled.llm_calls == result.trace.total_llm_calls() == 3
+
+
+class TestQueryHistory:
+    def test_thousands_of_results_keep_the_newest(self, two_indexes):
+        ctx, sim = two_indexes
+        sim.real_latency_scale = 0.0
+        luna = Luna(ctx)
+        history = luna.history
+        result = luna.query(WIND, index="small")
+        total = 10 * RECENT_RESULTS + 7
+        for _ in range(total - 1):
+            history.record(result)
+            assert len(history) <= RECENT_RESULTS
+        # Flat, and the sequence numbers never restarted.
+        oldest = total - RECENT_RESULTS
+        assert [e.sequence for e in history.entries()] == list(range(oldest, total))
+        assert history.get(total - 1) is history.last()
+        assert history.get(oldest).sequence == oldest
+        with pytest.raises(IndexError, match=f"#0 was evicted; the oldest kept is #{oldest}"):
+            history.get(0)
+        with pytest.raises(IndexError, match="evicted"):
+            history.replay(oldest - 1, luna)
+        with pytest.raises(IndexError, match=f"no history entry #{total}"):
+            history.get(total)
+        # What is retained still replays, and follow-ups build on the last.
+        assert history.replay(total - 1, luna).answer == result.answer
+        assert history.last().sequence == total
+        assert isinstance(luna.follow_up(WIND).answer, int)
+        assert len(history) == RECENT_RESULTS
 
 
 class TestCostAttribution:
