@@ -7,7 +7,10 @@ Runs the workload's repeat once to warm the process (imports, regex
 caches, thread pools), profiles the next one, and prints the top
 functions by cumulative and by self time. Threads the repeat starts
 (``ReliableLLM``'s batch pool, executor workers) are profiled too: each
-gets a profiler of its own and the tables are merged.
+gets a profiler of its own and the tables are merged. One more repeat
+then runs with no profiler, and the last line printed is the backend
+calls of a repeat and its wall microseconds per call (and per question
+on ``query_inproc``), which is the number to size a per-call change by.
 
 The repeats are built from the pieces ``benchmarks/perf/workloads.py``
 exposes, which this script imports and does not change. cProfile taxes
@@ -22,6 +25,7 @@ import cProfile
 import pstats
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Callable, List, Tuple
 
@@ -38,8 +42,10 @@ from repro.datagen import (  # noqa: E402
 from repro.luna import Luna  # noqa: E402
 
 
-#: What a workload hands back: one repeat, and what to close after the last.
-Repeat = Tuple[Callable[[], None], Callable[[], None]]
+#: What a workload hands back: one repeat, which returns (backend calls
+#: it made, units of work it did, the unit's name), and what to close
+#: after the last.
+Repeat = Tuple[Callable[[], Tuple[int, int, str]], Callable[[], None]]
 
 
 def etl_ingest(seed: int, sizes: Sizes) -> Repeat:
@@ -47,15 +53,16 @@ def etl_ingest(seed: int, sizes: Sizes) -> Repeat:
     _, ntsb = generate_ntsb_corpus(sizes.etl_ntsb, seed=2 * seed)
     _, earnings = generate_earnings_corpus(sizes.etl_earnings, seed=2 * seed + 1)
 
-    def repeat() -> None:
+    def repeat() -> Tuple[int, int, str]:
         stack = workloads.build_stack(
             parallelism=workloads.CPU_BOUND_PARALLELISM, latency_scale=0.0, traced=False
         )
         try:
             stack.ingest(ntsb[: max(1, len(ntsb) // 10)], workloads.NTSB_SCHEMA, "warm-ntsb")
             stack.ingest(earnings[: max(1, len(earnings) // 10)], workloads.EARNINGS_SCHEMA, "warm-earn")
-            stack.ingest(ntsb, workloads.NTSB_SCHEMA, "ntsb")
-            stack.ingest(earnings, workloads.EARNINGS_SCHEMA, "earnings")
+            written = stack.ingest(ntsb, workloads.NTSB_SCHEMA, "ntsb")
+            written += stack.ingest(earnings, workloads.EARNINGS_SCHEMA, "earnings")
+            return stack.sim.calls, written, "document"
         finally:
             stack.ctx.close()
 
@@ -74,8 +81,10 @@ def query_inproc(seed: int, sizes: Sizes) -> Repeat:
     suite = build_full_suite(ntsb_records, earn_records)
     luna = Luna(stack.ctx)
 
-    def repeat() -> None:
+    def repeat() -> Tuple[int, int, str]:
+        before = stack.sim.calls
         workloads._suite_pass(luna, suite)
+        return stack.sim.calls - before, len(suite), "question"
 
     return repeat, stack.ctx.close
 
@@ -83,7 +92,7 @@ def query_inproc(seed: int, sizes: Sizes) -> Repeat:
 WORKLOADS = {"etl_ingest": etl_ingest, "query_inproc": query_inproc}
 
 
-def profile(repeat: Callable[[], None]) -> pstats.Stats:
+def profile(repeat: Callable[[], object]) -> pstats.Stats:
     """Warm with one repeat, then profile the next on every thread."""
     thread_profiles: List[cProfile.Profile] = []
 
@@ -124,11 +133,18 @@ def main() -> int:
     repeat, close = WORKLOADS[args.workload](args.seed, SMOKE if args.smoke else FULL)
     try:
         stats = profile(repeat)
+        started = time.perf_counter()
+        calls, units, unit = repeat()
+        wall_us = (time.perf_counter() - started) * 1e6
     finally:
         close()
     stats.strip_dirs()
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
+    print(
+        f"unprofiled repeat: {calls} backend calls, {wall_us / max(calls, 1):.1f} us wall per call, "
+        f"{wall_us / max(units, 1):.1f} us per {unit} ({units} {unit}s, {wall_us / 1e6:.3f} s)"
+    )
     return 0
 
 

@@ -106,6 +106,10 @@ _SINK_FUNCS: Dict[str, Tuple[str, ...]] = {
 
 _COMPLETE_CALLS = {"complete", "complete_json", "complete_many"}
 
+#: Methods that put their arguments into the receiver: ``parts.append(x)``
+#: leaves ``parts`` carrying whatever ``x`` carried.
+_CONTAINER_MUTATORS = {"append", "appendleft", "extend", "insert", "add", "update"}
+
 
 def _parse_taint_safe(source: str) -> Dict[int, Optional[str]]:
     """line -> justification (None/empty for a bare tag).
@@ -388,6 +392,8 @@ class _FunctionTaint:
         # from the receiver and the arguments into the result.
         if isinstance(func, ast.Attribute):
             receiver_labels = self._eval(func.value)
+            if func.attr in _CONTAINER_MUTATORS and isinstance(func.value, ast.Name):
+                self.labels.setdefault(func.value.id, set()).update(all_labels)
             return receiver_labels | all_labels
         return all_labels
 

@@ -75,6 +75,23 @@ def _child_from_dict(data: dict) -> Any:
     return Element.from_dict(data)
 
 
+class SealedText:
+    """A stored document's text views, rendered once per stored version.
+
+    ``text`` is ``text_representation()`` as of the moment the document
+    was stored. ``prompt_text`` is the form LLM transforms interpolate
+    (prompt markers neutralised); whoever needs it first fills it, and
+    since it is a pure function of ``text`` a race fills it with equal
+    strings.
+    """
+
+    __slots__ = ("text", "prompt_text")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.prompt_text: Optional[str] = None
+
+
 @dataclass
 class Document:
     """A hierarchical, multi-modal document.
@@ -90,6 +107,14 @@ class Document:
     encodes it each time something asks for the bytes (``to_dict``,
     pickling), and :meth:`raw_document` hands it to the partitioner as it
     is. A document read as bytes is parsed there, once.
+
+    A document handed to a store is immutable from then on (every
+    mutating transform works on a :meth:`copy`), so the store calls
+    :meth:`seal` on it: the full text is rendered once and
+    :meth:`text_representation` returns that string for as long as the
+    object lives. The sealed view is not a field: equality, ``repr``,
+    ``to_dict``, pickling, ``deepcopy``, :meth:`copy` and :meth:`derive`
+    neither carry nor notice it.
     """
 
     doc_id: str = field(default_factory=new_id)
@@ -98,6 +123,10 @@ class Document:
     root: Optional[Node] = None
     properties: Dict[str, Any] = field(default_factory=dict)
     parent_id: Optional[str] = None
+
+    #: The view :meth:`seal` left; ``None`` on an unstored document.
+    #: Unannotated, so not a dataclass field.
+    sealed = None
 
     # ------------------------------------------------------------------
     # Tree access
@@ -148,8 +177,15 @@ class Document:
 
         This is what LLM transforms put in their prompts; ``max_elements``
         supports prompts that only need a prefix (e.g. extracting authors
-        from the first page, per §5.2).
+        from the first page, per §5.2). The full text of a sealed
+        (:meth:`seal`) document is the string rendered when it was
+        stored; a prefix is always rendered from the tree.
         """
+        if max_elements is None and self.sealed is not None:
+            return self.sealed.text
+        return self._render_text(max_elements)
+
+    def _render_text(self, max_elements: Optional[int]) -> str:
         elements = self.elements
         if max_elements is not None:
             elements = elements[:max_elements]
@@ -158,6 +194,15 @@ class Document:
             return self.text
         return "\n".join(part for part in parts if part)
 
+    def seal(self) -> None:
+        """Render the full text now and keep it as this object's view.
+
+        Called by the stores (``DocStore.put``) on the object they keep;
+        sealing again re-renders, so a document changed before it is
+        stored a second time is seen as changed.
+        """
+        self.sealed = SealedText(self._render_text(None))
+
     # ------------------------------------------------------------------
     # Derivation and copying
     # ------------------------------------------------------------------
@@ -165,7 +210,8 @@ class Document:
     def copy(self) -> "Document":
         """Structural copy safe to mutate without aliasing the original.
 
-        Raw content is immutable by contract and shared, not copied.
+        Raw content is immutable by contract and shared, not copied. The
+        copy is unsealed: it renders from its own tree.
         """
         clone = Document(
             doc_id=self.doc_id,

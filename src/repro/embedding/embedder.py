@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Protocol
 
 import numpy as np
@@ -23,6 +24,11 @@ import numpy as np
 from ..llm import knowledge
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+#: How many texts an embedder remembers the vector of, least recently
+#: used first out. Query texts repeat; an ingested document's text is
+#: embedded once and must not stay pinned for the life of the context.
+RECENT_EMBEDDINGS = 512
 
 #: Words too common to carry signal; damped rather than dropped so that
 #: texts made only of stopwords still embed to something.
@@ -80,16 +86,20 @@ class HashingEmbedder:
         self.dimensions = dimensions
         self.seed = seed
         self.concept_weight = concept_weight
-        self._cache: Dict[str, np.ndarray] = {}
+        self._recent = lru_cache(maxsize=RECENT_EMBEDDINGS)(self._embed)
         self._concept_vectors: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
 
     def embed(self, text: str) -> np.ndarray:
-        """L2-normalized embedding of ``text`` (zero vector for empty text)."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
+        """L2-normalized embedding of ``text`` (zero vector for empty text).
+
+        The array is read-only: callers asking for the same text again
+        may be handed the same object.
+        """
+        return self._recent(text)
+
+    def _embed(self, text: str) -> np.ndarray:
         vector = self._embed_lexical(text)
         lexical_norm = float(np.linalg.norm(vector))
         if lexical_norm > 0.0:
@@ -100,8 +110,6 @@ class HashingEmbedder:
         if norm > 0.0:
             vector = vector / norm
         vector.setflags(write=False)
-        if len(self._cache) < 100_000:
-            self._cache[text] = vector
         return vector
 
     def embed_many(self, texts: Iterable[str]) -> List[np.ndarray]:

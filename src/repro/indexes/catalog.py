@@ -84,7 +84,14 @@ class NamedIndex:
         return len(self.docstore)
 
     def add_document(self, document: Document, embed: bool = True) -> None:
-        """Store and index one document (text + optional vector)."""
+        """Store and index one document (text + optional vector).
+
+        The docstore seals the document, so the text rendered here for
+        the keyword and vector indexes is the same string every later
+        prompt over this stored version gets. The caller must not mutate
+        ``document`` afterwards; re-ingest a changed copy under the same
+        ``doc_id`` instead.
+        """
         self.docstore.put(document)
         text = document.text_representation() or document.text
         self.keyword.add(document.doc_id, text)

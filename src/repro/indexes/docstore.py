@@ -15,7 +15,16 @@ from ..docmodel.document import Document
 
 
 class DocStore:
-    """In-memory document store with JSONL save/load."""
+    """In-memory document store with JSONL save/load.
+
+    The store keeps the objects it is given and hands the same objects
+    back (``get``, ``get_many``, ``scan``), so a stored document is
+    immutable by contract: change a :meth:`~Document.copy` and ``put``
+    that. ``put`` seals the document (:meth:`Document.seal`), which is
+    what lets its text be rendered once per stored version instead of
+    once per LLM call; a copy carries no seal, and putting a changed
+    object again renders it again.
+    """
 
     def __init__(self) -> None:
         self._docs: Dict[str, Document] = {}
@@ -27,7 +36,8 @@ class DocStore:
         return doc_id in self._docs
 
     def put(self, document: Document) -> None:
-        """Store one document, replacing any same-id entry."""
+        """Store and seal one document, replacing any same-id entry."""
+        document.seal()
         self._docs[document.doc_id] = document
 
     def put_many(self, documents: List[Document]) -> None:

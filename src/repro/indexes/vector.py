@@ -19,6 +19,10 @@ import numpy as np
 from .keyword import SearchHit
 
 
+#: Rows the buffer starts with once the first vector arrives.
+_MIN_CAPACITY = 16
+
+
 @dataclass
 class _IvfState:
     centroids: np.ndarray  # (n_cells, dim)
@@ -34,8 +38,15 @@ class VectorIndex:
         self.dimensions = dimensions
         self._ids: List[str] = []
         self._id_to_row: Dict[str, int] = {}
-        self._matrix = np.zeros((0, dimensions), dtype=np.float64)
+        # Rows beyond len(self._ids) are spare capacity, doubled when it
+        # runs out, so n adds copy O(n) rows in total, not O(n^2).
+        self._buffer = np.zeros((0, dimensions), dtype=np.float64)
         self._ivf: Optional[_IvfState] = None
+
+    @property
+    def _matrix(self) -> np.ndarray:
+        """The filled rows, one per id (a view of the buffer)."""
+        return self._buffer[: len(self._ids)]
 
     # ------------------------------------------------------------------
 
@@ -59,11 +70,18 @@ class VectorIndex:
             array = np.zeros_like(array)
         row = self._id_to_row.get(doc_id)
         if row is not None:
-            self._matrix[row] = array
+            self._buffer[row] = array
         else:
-            self._id_to_row[doc_id] = len(self._ids)
+            filled = len(self._ids)
+            if filled == len(self._buffer):
+                grown = np.zeros(
+                    (max(_MIN_CAPACITY, 2 * filled), self.dimensions), dtype=np.float64
+                )
+                grown[:filled] = self._buffer
+                self._buffer = grown
+            self._buffer[filled] = array
+            self._id_to_row[doc_id] = filled
             self._ids.append(doc_id)
-            self._matrix = np.vstack([self._matrix, array[None, :]])
         self._ivf = None  # clustering is stale
 
     def add_many(self, items: Dict[str, Sequence[float]]) -> None:
@@ -76,8 +94,8 @@ class VectorIndex:
         row = self._id_to_row.pop(doc_id, None)
         if row is None:
             return False
+        self._buffer = np.delete(self._matrix, row, axis=0)
         self._ids.pop(row)
-        self._matrix = np.delete(self._matrix, row, axis=0)
         self._id_to_row = {d: i for i, d in enumerate(self._ids)}
         self._ivf = None
         return True
@@ -188,5 +206,5 @@ class VectorIndex:
         matrix = np.asarray(payload["matrix"], dtype=np.float64)
         if matrix.size == 0:
             matrix = np.zeros((0, index.dimensions), dtype=np.float64)
-        index._matrix = matrix
+        index._buffer = matrix
         return index

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 # ----------------------------------------------------------------------
 # Concept lexicon
@@ -238,10 +238,27 @@ CONCEPT_ALIASES: Dict[str, str] = {
 
 _NEGATION_MARKERS = ("not ", "no ", "without ", "never ", "excluding ")
 
+#: Longest first, ties in declaration order.
+_ALIASES_LONGEST_FIRST = tuple(sorted(CONCEPT_ALIASES, key=len, reverse=True))
+
+#: How many distinct conditions :func:`condition_holds` keeps a plan for.
+RECENT_CONDITIONS = 512
+
+
+_NOT_KEPT_RE = re.compile(r"[^a-z0-9%$.\s-]")
+#: The same rule as a ``str.translate`` table over ASCII, where translate
+#: is several times faster than the regex (3 µs against 22 µs on a
+#: 1.7 kB report); on text with any other character it is slower, so
+#: that text takes the regex.
+_ASCII_TABLE = {code: ord(_NOT_KEPT_RE.sub(" ", chr(code))) for code in range(128)}
+
 
 def normalize(text: str) -> str:
     """Lowercase and collapse whitespace/punctuation for matching."""
-    return re.sub(r"[^a-z0-9%$.\s-]", " ", text.lower()).strip()
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_TABLE).strip()
+    return _NOT_KEPT_RE.sub(" ", lowered).strip()
 
 
 def match_concepts(condition: str) -> List[str]:
@@ -253,7 +270,7 @@ def match_concepts(condition: str) -> List[str]:
     """
     norm = normalize(condition)
     found: List[str] = []
-    for alias in sorted(CONCEPT_ALIASES, key=len, reverse=True):
+    for alias in _ALIASES_LONGEST_FIRST:
         if alias in norm:
             concept = CONCEPT_ALIASES[alias]
             if concept not in found:
@@ -306,26 +323,48 @@ def concepts_in(text: str) -> FrozenSet[str]:
     return frozenset(c for c in _MATCHERS if _concept_in(norm, c))
 
 
+class _ConditionPlan(NamedTuple):
+    """What a condition asks, worked out without looking at any text."""
+
+    negated: bool
+    concepts: Tuple[str, ...]
+    any_concept: bool  # "icing or wind": one concept is enough
+    content_words: Tuple[str, ...]  # the fallback when no concept is named
+
+
+@lru_cache(maxsize=RECENT_CONDITIONS)
+def _condition_plan(condition: str) -> _ConditionPlan:
+    norm_condition = normalize(condition)
+    concepts = tuple(match_concepts(condition))
+    return _ConditionPlan(
+        negated=any(marker in f" {norm_condition} " for marker in _NEGATION_MARKERS),
+        concepts=concepts,
+        any_concept=" or " in norm_condition and len(concepts) > 1,
+        content_words=tuple(
+            w for w in norm_condition.split() if w not in _STOPWORDS and len(w) > 2
+        ),
+    )
+
+
 def condition_holds(condition: str, text: str) -> bool:
     """Evaluate a natural-language yes/no condition against a text.
 
     This is the semantic primitive behind the simulated ``llm_filter``.
     Handles simple negation ("not caused by weather") and conjunction
     ("wind and landing"). Conditions that reference no known concept fall
-    back to keyword containment of the condition's content words.
+    back to keyword containment of the condition's content words. A
+    filter asks one condition of every document, so what depends on the
+    condition alone is planned once per distinct condition; the verdict
+    is worked out against the text every time.
     """
-    norm_condition = normalize(condition)
-    negated = any(marker in f" {norm_condition} " for marker in _NEGATION_MARKERS)
-    concepts = match_concepts(condition)
+    plan = _condition_plan(condition)
     norm_text = _padded(text)
-    if concepts:
-        if " or " in norm_condition and len(concepts) > 1:
-            result = any(_concept_in(norm_text, c) for c in concepts)
-        else:
-            result = all(_concept_in(norm_text, c) for c in concepts)
+    if plan.concepts:
+        quantifier = any if plan.any_concept else all
+        result = quantifier(_concept_in(norm_text, c) for c in plan.concepts)
     else:
-        result = _content_words_present(norm_condition, norm_text)
-    return (not result) if negated else result
+        result = _content_words_present(plan.content_words, norm_text)
+    return (not result) if plan.negated else result
 
 
 _STOPWORDS = frozenset(
@@ -336,8 +375,7 @@ _STOPWORDS = frozenset(
 )
 
 
-def _content_words_present(condition: str, norm_text: str) -> bool:
-    words = [w for w in condition.split() if w not in _STOPWORDS and len(w) > 2]
+def _content_words_present(words: Tuple[str, ...], norm_text: str) -> bool:
     if not words:
         return False
     hits = sum(1 for w in words if _words_pattern((w,)).search(norm_text))

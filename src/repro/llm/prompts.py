@@ -23,22 +23,41 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import MalformedOutputError
+from .tokens import recent_word_count
 
 _TASK_RE = re.compile(r"^<<TASK:([a-z0-9_]+)>>[ \t]*\r?$", re.MULTILINE)
 _SECTION_RE = re.compile(r"^<<SECTION:([a-z0-9_]+)>>[ \t]*\r?$", re.MULTILINE)
+_NAME_RE = re.compile(r"[a-z0-9_]+")
+_SECTION_OPEN = "<<SECTION:"
+
+#: How many distinct task/section names, and how many distinct prompt
+#: heads (everything before the final section), the memos below keep.
+RECENT_NAMES = 256
+RECENT_HEADS = 256
+#: A head longer than this is parsed afresh each time: the static prefix
+#: of a per-document prompt is a few hundred characters, and a head that
+#: long is carrying a document body, which a memo must not pin.
+MAX_MEMO_HEAD_CHARS = 1024
+
+
+@lru_cache(maxsize=RECENT_NAMES)
+def _require_name(kind: str, name: str) -> None:
+    # Transforms pass the same few constant names on every call; a
+    # rejected name raises and is not remembered.
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"invalid {kind} name: {name!r}")
 
 
 def render_task_prompt(task: str, sections: Dict[str, str]) -> str:
     """Serialise a task name and named sections into one prompt string."""
-    if not re.fullmatch(r"[a-z0-9_]+", task):
-        raise ValueError(f"invalid task name: {task!r}")
+    _require_name("task", task)
     parts = [f"<<TASK:{task}>>"]
     for name, body in sections.items():
-        if not re.fullmatch(r"[a-z0-9_]+", name):
-            raise ValueError(f"invalid section name: {name!r}")
+        _require_name("section", name)
         parts.append(f"<<SECTION:{name}>>")
         parts.append(body.rstrip("\n"))
     return "\n".join(parts)
@@ -75,14 +94,63 @@ def append_section(prefix: str, name: str, body: str) -> str:
     Used to hoist the static part of per-document prompts out of hot
     loops (the document text is always the final section).
     """
-    if not re.fullmatch(r"[a-z0-9_]+", name):
-        raise ValueError(f"invalid section name: {name!r}")
+    _require_name("section", name)
     body = body.rstrip("\n")
     return f"{prefix}\n<<SECTION:{name}>>\n{body}"
 
 
+class ParsedPrompt(NamedTuple):
+    """A task prompt taken apart, with the word count of the whole.
+
+    ``words`` is ``len(prompt.split())``: the head's words, the final
+    marker and the final body's words add exactly, because the head ends
+    at a line break.
+    """
+
+    task: str
+    sections: Dict[str, str]
+    words: int
+
+
 def parse_task_prompt(prompt: str) -> Tuple[str, Dict[str, str]]:
-    """Recover (task, sections) from a prompt built by render_task_prompt."""
+    """Recover (task, sections) from a prompt built by render_task_prompt.
+
+    Per-document transforms render the static head of their prompt once
+    and append the document as the final section, so the parser does not
+    take the head apart again per call: it finds the final section from
+    the right, checks that marker with the same pattern as ever, and
+    looks the head up in a bounded memo keyed on the head alone — never
+    on the final section, so never on a document or a whole prompt.
+    Anything unexpected (no marker, a malformed or mid-line last marker,
+    a head without a task) goes through the full parse, which is also
+    what defines the result: both paths return the same thing or raise
+    the same error for every string.
+    """
+    parsed = parse_task_prompt_counted(prompt)
+    return parsed.task, parsed.sections
+
+
+def parse_task_prompt_counted(prompt: str) -> ParsedPrompt:
+    """:func:`parse_task_prompt` plus the prompt's word count, which the
+    simulated backend meters tokens from."""
+    start = prompt.rfind(_SECTION_OPEN)
+    marker = _SECTION_RE.match(prompt, start) if start >= 0 else None
+    if marker is not None:
+        head_text = prompt[:start]
+        parse_head = _recent_head if len(head_text) <= MAX_MEMO_HEAD_CHARS else _parse_whole
+        try:
+            head = parse_head(head_text)
+        except MalformedOutputError:
+            pass  # the task marker, if any, is in the final body
+        else:
+            body = prompt[marker.end() :].strip("\n")
+            sections = dict(head.sections)  # the memo's dict is shared
+            sections[marker.group(1)] = body
+            return ParsedPrompt(head.task, sections, head.words + 1 + recent_word_count(body))
+    return _parse_whole(prompt)
+
+
+def _parse_whole(prompt: str) -> ParsedPrompt:
     task_match = _TASK_RE.search(prompt)
     if task_match is None:
         raise MalformedOutputError("prompt has no <<TASK:...>> marker", prompt)
@@ -93,7 +161,10 @@ def parse_task_prompt(prompt: str) -> Tuple[str, Dict[str, str]]:
         start = match.end()
         end = matches[i + 1].start() if i + 1 < len(matches) else len(prompt)
         sections[match.group(1)] = prompt[start:end].strip("\n")
-    return task, sections
+    return ParsedPrompt(task, sections, len(prompt.split()))
+
+
+_recent_head = lru_cache(maxsize=RECENT_HEADS)(_parse_whole)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,16 @@ from typing import Optional
 
 from .base import LLMClient, LLMResponse, Usage, get_model_spec
 from .cost import CostTracker
-from .errors import ContextWindowExceededError, RateLimitError, TransientLLMError
-from .prompts import parse_task_prompt
+from .errors import (
+    ContextWindowExceededError,
+    MalformedOutputError,
+    RateLimitError,
+    TransientLLMError,
+)
+from .prompts import ParsedPrompt, parse_task_prompt_counted
 from .skills import SKILLS, Noise
 from .skills.summarize import summarize_text
-from .tokens import count_tokens, truncate_to_tokens
+from .tokens import count_tokens, tokens_from_counts, truncate_to_tokens
 
 
 def _stable_seed(*parts: str) -> int:
@@ -94,7 +99,14 @@ class SimulatedLLM(LLMClient):
     ) -> LLMResponse:
         """Generate a completion for the prompt (see LLMClient)."""
         spec = get_model_spec(model)
-        input_tokens = count_tokens(prompt)
+        # One pass takes the prompt apart and counts its words; the
+        # count is the same ``count_tokens(prompt)`` would make.
+        try:
+            parsed: Optional[ParsedPrompt] = parse_task_prompt_counted(prompt)
+        except MalformedOutputError:
+            parsed = None  # free-form prompt
+        words = parsed.words if parsed is not None else len(prompt.split())
+        input_tokens = tokens_from_counts(words, len(prompt))
         if input_tokens > spec.context_window:
             raise ContextWindowExceededError(input_tokens, spec.context_window)
 
@@ -109,7 +121,7 @@ class SimulatedLLM(LLMClient):
         if transport_draw < self.failure_rate:
             raise TransientLLMError("simulated upstream failure")
 
-        text = self._generate(prompt, model, spec.quality, temperature)
+        text = self._generate(prompt, parsed, model, spec.quality, temperature)
         if malformed_draw < self.malformed_rate and text:
             text = text[: max(1, len(text) * 2 // 3)]
         if max_output_tokens is not None:
@@ -128,7 +140,14 @@ class SimulatedLLM(LLMClient):
             self.tracker.record(model, usage, latency, spec=spec)
         return response
 
-    def _generate(self, prompt: str, model: str, quality: float, temperature: float) -> str:
+    def _generate(
+        self,
+        prompt: str,
+        parsed: Optional[ParsedPrompt],
+        model: str,
+        quality: float,
+        temperature: float,
+    ) -> str:
         """Produce the completion text for one prompt."""
         seed_parts = [str(self.seed), model, prompt]
         if temperature > 0.0:
@@ -137,13 +156,11 @@ class SimulatedLLM(LLMClient):
                 seed_parts.append(str(self._calls))
         rng = random.Random(_stable_seed(*seed_parts))
         noise = Noise(quality=quality, rng=rng)
-        try:
-            task, sections = parse_task_prompt(prompt)
-        except Exception:
+        if parsed is None:
             # Free-form prompt: behave like a generic instruct model and
             # return a concise restatement of the prompt's content.
             return summarize_text(prompt, max_sentences=2) or prompt[:200]
-        skill = SKILLS.get(task)
+        skill = SKILLS.get(parsed.task)
         if skill is None:
-            return summarize_text(sections.get("document", prompt), max_sentences=2)
-        return skill(sections, noise)
+            return summarize_text(parsed.sections.get("document", prompt), max_sentences=2)
+        return skill(parsed.sections, noise)

@@ -10,9 +10,15 @@ for relative comparisons.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 #: Average characters per token for English prose under BPE tokenizers.
 CHARS_PER_TOKEN = 4.0
+
+#: How many texts :func:`recent_word_count` remembers, and the longest
+#: text it will hold on to (each entry pins its text).
+RECENT_TEXTS = 512
+MAX_MEMO_TEXT_CHARS = 8192
 
 
 def count_tokens(text: str) -> int:
@@ -22,11 +28,31 @@ def count_tokens(text: str) -> int:
     near one token per word; long prose approaches the character ratio.
     Empty text counts as zero tokens.
     """
-    if not text:
-        return 0
-    words = len(text.split())
-    by_chars = math.ceil(len(text) / CHARS_PER_TOKEN)
-    return max(words, by_chars)
+    return tokens_from_counts(len(text.split()), len(text))
+
+
+def tokens_from_counts(words: int, chars: int) -> int:
+    """:func:`count_tokens` of a text with that many words and characters.
+
+    Both counts add over a text cut at whitespace, so a caller that knows
+    the parts' counts need not split the whole again.
+    """
+    return max(words, math.ceil(chars / CHARS_PER_TOKEN))
+
+
+_recent_word_count = lru_cache(maxsize=RECENT_TEXTS)(lambda text: len(text.split()))
+
+
+def recent_word_count(text: str) -> int:
+    """``len(text.split())``, remembered for the last few hundred texts.
+
+    For the one caller that is handed the same document body over and
+    over inside different prompts (the simulated backend). Keyed on the
+    text alone.
+    """
+    if len(text) > MAX_MEMO_TEXT_CHARS:
+        return len(text.split())
+    return _recent_word_count(text)
 
 
 def truncate_to_tokens(text: str, max_tokens: int) -> str:

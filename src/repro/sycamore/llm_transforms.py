@@ -91,11 +91,21 @@ def prompt_prefix_cache_info() -> Dict[str, int]:
 
 
 def _document_text(document: Document, num_elements: Optional[int]) -> str:
-    # Document bodies are untrusted: a line-initial <<SECTION:...>> in
-    # the text could inject its own prompt section (prompt-taint lint).
-    return neutralize_markers(
-        document.text_representation(max_elements=num_elements)
-    )
+    """The one door through which document text enters a prompt.
+
+    Document bodies are untrusted: a line-initial <<SECTION:...>> in the
+    text could inject its own prompt section (prompt-taint lint). A
+    stored document keeps the neutralised full text on its sealed view,
+    so it is computed once per stored version, not once per call.
+    """
+    sealed = document.sealed if num_elements is None else None
+    if sealed is None:
+        return neutralize_markers(
+            document.text_representation(max_elements=num_elements)
+        )
+    if sealed.prompt_text is None:
+        sealed.prompt_text = neutralize_markers(sealed.text)
+    return sealed.prompt_text
 
 
 def _template_prefix(template: PromptTemplate, **static: str) -> str:
@@ -449,8 +459,7 @@ def summarize_collection(
     model_name = model or context.default_model
     parts = []
     for document in documents[:max_docs]:
-        text = document.text_representation()
-        parts.append(text[:1500])
+        parts.append(_document_text(document, None)[:1500])
     sections = {
         "documents": "\n---\n".join(parts),
         "max_sentences": str(per_doc_sentences),

@@ -347,6 +347,35 @@ class TestPromptTaint:
         assert "sink.py" in paths
         assert "producer.py" in paths
 
+    def test_taint_survives_a_list_append_and_a_join(self, tmp_path):
+        # summarize_collection's shape: sliced document text appended to
+        # a list, joined, and handed over as a section.
+        root = make_project(
+            tmp_path,
+            {
+                "mod.py": """
+                    from repro.llm.prompts import neutralize_markers, render_task_prompt
+
+                    def bad(documents):
+                        parts = []
+                        for document in documents:
+                            text = document.text_representation()
+                            parts.append(text[:1500])
+                        sections = {"documents": "\\n---\\n".join(parts), "max_sentences": "1"}
+                        return render_task_prompt("summarize_collection", sections)
+
+                    def good(documents):
+                        parts = []
+                        for document in documents:
+                            parts.append(neutralize_markers(document.text_representation())[:1500])
+                        sections = {"documents": "\\n---\\n".join(parts)}
+                        return render_task_prompt("summarize_collection", sections)
+                """,
+            },
+        )
+        report = xlint_paths([root], rules=["prompt-taint"])
+        assert [f.line for f in report.findings] == [10]
+
     def test_taint_safe_with_reason_accepts_flow(self, tmp_path):
         root = make_project(
             tmp_path,

@@ -136,6 +136,84 @@ class TestVectorIndex:
         assert restored.search([1, 0, 0, 0], k=1)[0].doc_id == "a"
 
 
+class StackedVectorIndex(VectorIndex):
+    """``add`` as it was: one ``np.vstack`` of the whole matrix per new
+    row, so the buffer never has a spare row."""
+
+    def add(self, doc_id, vector):
+        array = np.asarray(vector, dtype=np.float64)
+        norm = float(np.linalg.norm(array))
+        array = array / norm if norm > 1e-12 else np.zeros_like(array)
+        row = self._id_to_row.get(doc_id)
+        if row is not None:
+            self._buffer[row] = array
+        else:
+            self._id_to_row[doc_id] = len(self._ids)
+            self._buffer = np.vstack([self._matrix, array[None, :]])
+            self._ids.append(doc_id)
+        self._ivf = None
+
+
+class TestVectorIndexGrowth:
+    def test_five_thousand_adds_reallocate_a_logarithmic_number_of_times(self):
+        index = VectorIndex(dimensions=8)
+        rng = np.random.default_rng(0)
+        buffers = []
+        for i in range(5000):
+            index.add(f"d{i}", rng.normal(size=8))
+            if not buffers or buffers[-1] is not index._buffer:
+                buffers.append(index._buffer)
+        assert len(index) == 5000
+        assert len(buffers) <= 10  # 16, 32, ... 8192; one per add before
+        assert len(index._buffer) < 2 * 5000
+        assert index._matrix.shape == (5000, 8)
+
+    def test_results_are_bit_identical_to_the_stacked_matrix(self):
+        rng = np.random.default_rng(1)
+        grown, stacked = VectorIndex(dimensions=32), StackedVectorIndex(dimensions=32)
+        vectors = rng.normal(size=(300, 32))
+        vectors[17] = 0.0  # a zero vector stays a zero row
+        queries = rng.normal(size=(5, 32))
+
+        def same_everywhere():
+            assert grown._ids == stacked._ids and grown._id_to_row == stacked._id_to_row
+            assert np.array_equal(grown._matrix, stacked._matrix)
+            for doc_id in ("d0", "d17", "d299", "absent"):
+                a, b = grown.get(doc_id), stacked.get(doc_id)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            for query in queries:
+                for kwargs in ({"k": 7}, {"k": 400}, {"k": 5, "approximate": True, "n_probe": 3}):
+                    assert grown.search(query, **kwargs) == stacked.search(query, **kwargs)
+            if len(grown) >= 2:
+                a, b = grown._ensure_ivf(), stacked._ensure_ivf()
+                assert np.array_equal(a.centroids, b.centroids) and a.assignments == b.assignments
+
+        for index in (grown, stacked):
+            for i, vector in enumerate(vectors):
+                index.add(f"d{i}", vector)
+        same_everywhere()
+        for index in (grown, stacked):
+            index.add("d5", vectors[6])  # replace in place
+            assert index.remove("d100") and index.remove("d0") and not index.remove("d0")
+        same_everywhere()
+        for index in (grown, stacked):
+            for i in range(300, 340):  # grow again after a remove shrank the buffer
+                index.add(f"d{i}", vectors[i - 300] * 2.0)
+        same_everywhere()
+
+    def test_spare_rows_are_not_saved_or_searched(self, tmp_path):
+        index = VectorIndex(dimensions=4)
+        for i, vector in enumerate(([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])):
+            index.add(f"d{i}", vector)
+        assert len(index._buffer) > 3
+        assert [h.doc_id for h in index.search([0, 0, 0, 1], k=10)] == ["d0", "d1", "d2"]
+        index.save(tmp_path / "v.json")
+        restored = VectorIndex.load(tmp_path / "v.json")
+        assert restored._matrix.shape == (3, 4)
+        restored.add("d3", [0, 0, 0, 1])
+        assert restored.search([0, 0, 0, 1], k=1)[0].doc_id == "d3"
+
+
 class TestGraphStore:
     def _store(self):
         store = GraphStore()

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm import knowledge
@@ -43,13 +43,31 @@ class TestConceptMatching:
         assert not knowledge.text_matches_concept("anything", "no_such_concept")
 
 
+def reference_normalize(text):
+    """``normalize`` as first written: one regex pass over the lowered text."""
+    return re.sub(r"[^a-z0-9%$.\s-]", " ", text.lower()).strip()
+
+
+def reference_match_concepts(condition):
+    """``match_concepts`` as first written: the alias table sorted per call."""
+    norm = reference_normalize(condition)
+    found = []
+    for alias in sorted(knowledge.CONCEPT_ALIASES, key=len, reverse=True):
+        if alias in norm:
+            concept = knowledge.CONCEPT_ALIASES[alias]
+            if concept not in found:
+                found.append(concept)
+            norm = norm.replace(alias, " ")
+    return found
+
+
 def reference_matches(text, concept):
     """``text_matches_concept`` as first written: every keyword escaped
     and searched on its own, the text normalised per call."""
     keywords = knowledge.CONCEPT_KEYWORDS.get(concept)
     if keywords is None:
         return False
-    norm = " " + knowledge.normalize(text) + " "
+    norm = " " + reference_normalize(text) + " "
     for keyword in keywords:
         if " " in keyword:
             if keyword in norm:
@@ -60,10 +78,11 @@ def reference_matches(text, concept):
 
 
 def reference_condition_holds(condition, text):
-    """``condition_holds`` as first written, over the reference matcher."""
-    norm_condition = knowledge.normalize(condition)
+    """``condition_holds`` as first written, over the reference matcher:
+    everything about the condition worked out again for every text."""
+    norm_condition = reference_normalize(condition)
     negated = any(m in f" {norm_condition} " for m in knowledge._NEGATION_MARKERS)
-    concepts = knowledge.match_concepts(condition)
+    concepts = reference_match_concepts(condition)
     if concepts:
         combine = any if " or " in norm_condition and len(concepts) > 1 else all
         result = combine(reference_matches(text, c) for c in concepts)
@@ -71,7 +90,7 @@ def reference_condition_holds(condition, text):
         words = [
             w for w in norm_condition.split() if w not in knowledge._STOPWORDS and len(w) > 2
         ]
-        norm_text = " " + knowledge.normalize(text) + " "
+        norm_text = " " + reference_normalize(text) + " "
         hits = sum(1 for w in words if re.search(rf"\b{re.escape(w)}\b", norm_text))
         result = bool(words) and hits >= max(1, (len(words) + 1) // 2)
     return (not result) if negated else result
@@ -125,6 +144,79 @@ class TestCompiledMatcher:
     def test_concepts_in_is_a_set_of_known_concepts(self):
         assert knowledge.concepts_in("") == frozenset()
         assert knowledge.concepts_in("a gusty crosswind, then frost") >= {"wind", "icing", "weather"}
+
+
+class TestNormalizeKernel:
+    """``str.translate`` on ASCII text, the regex on the rest ≡ the regex."""
+
+    @settings(max_examples=500)
+    @given(st.text(max_size=60) | st.text(alphabet=st.characters(max_codepoint=127), max_size=60))
+    def test_arbitrary_unicode(self, text):
+        assert knowledge.normalize(text) == reference_normalize(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 ",  # every ASCII and Latin-1 space
+            "\u1680\u2000\u2009\u2028\u2029\u202f\u205f\u3000x\u200b\ufeff",  # Unicode spaces, and two that are not
+            "İstanbul ǅ ẞ ﬁ Σ",  # lower() changes the length or the script
+            "K\u212a 5\u2126 \u00b5",  # Kelvin sign lowers to an ASCII k
+            "A-b.C%$d_e'f\"g(h)i,j;k:l!m?n/o\\p",
+            "٣ ३ ⅷ ²",  # digits that are not 0-9
+        ],
+    )
+    def test_whitespace_classes_and_case_mappings(self, text):
+        assert knowledge.normalize(text) == reference_normalize(text)
+
+
+#: Every alias (so every concept), bare and in the shapes the planner and
+#: the question suites phrase conditions in.
+ALIAS_CONDITIONS = sorted(
+    {
+        shape.format(alias=alias, other=other)
+        for alias, other in zip(
+            sorted(knowledge.CONCEPT_ALIASES), reversed(sorted(knowledge.CONCEPT_ALIASES))
+        )
+        for shape in (
+            "incidents caused by {alias}",
+            "without any {alias}",
+            "{alias} or {other}",
+            "The {alias}, (and) NOT the {other}!",
+        )
+    }
+)
+
+
+class TestConditionPlan:
+    """What is planned once per condition ≡ what was worked out per call."""
+
+    def test_every_alias_condition_on_every_generated_document(self, ntsb_corpus, earnings_corpus):
+        texts = [raw.all_text() for raw in ntsb_corpus[1] + earnings_corpus[1]]
+        assert len(ALIAS_CONDITIONS) > 200
+        planned = {c for a in knowledge.CONCEPT_ALIASES for c in knowledge.match_concepts(a)}
+        assert planned == set(knowledge.CONCEPT_KEYWORDS)
+        verdicts = set()
+        for condition in ALIAS_CONDITIONS + CONDITIONS:
+            assert knowledge.match_concepts(condition) == reference_match_concepts(condition)
+            for text in texts:
+                expected = reference_condition_holds(condition, text)
+                assert knowledge.condition_holds(condition, text) == expected, (condition, text)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @given(st.lists(fragments | st.sampled_from(["not", "or", "and", "no", "never"]), max_size=8).map(" ".join), keyword_soup)
+    def test_generated_conditions(self, condition, text):
+        assert knowledge.condition_holds(condition, text) == reference_condition_holds(
+            condition, text
+        )
+
+    def test_the_plan_depends_on_the_condition_alone(self):
+        knowledge._condition_plan.cache_clear()
+        for i in range(40):
+            knowledge.condition_holds("caused by wind", f"report {i}: gusty crosswind")
+        info = knowledge._condition_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 39)
 
 
 class TestConditionHolds:

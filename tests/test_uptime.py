@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.docmodel import Document
-from repro.llm import CostTracker, ReliableLLM, SimulatedLLM
+from repro.embedding import HashingEmbedder
+from repro.embedding.embedder import RECENT_EMBEDDINGS
+from repro.llm import CostTracker, ReliableLLM, SimulatedLLM, knowledge, prompts, tokens
 from repro.llm.base import Usage, get_model_spec
 from repro.llm.cost import RECENT_RECORDS, CostSummary
 from repro.luna import Luna
@@ -211,3 +215,69 @@ class TestCostAttribution:
                 assert trace.total_llm_calls() == trace.cost.llm_calls
                 assert trace.total_cost_usd() == pytest.approx(solo[index])
                 assert trace.total_cost_usd() == pytest.approx(trace.cost.cost_usd)
+
+
+class TestEmbedderMemory:
+    def test_ten_thousand_distinct_texts_keep_a_recent_window(self):
+        embedder = HashingEmbedder(dimensions=32, seed=3)
+        query = "which incidents involved a gusty crosswind"
+        first = embedder.embed(query)
+        assert not first.flags.writeable
+        for i in range(10_000):
+            embedder.embed(f"report {i} about topic t{i}")
+            if i % 100 == 0:
+                # Asked again and again, a query text stays, and is the same array.
+                assert embedder.embed(query) is first
+            assert embedder._recent.cache_info().currsize <= RECENT_EMBEDDINGS
+        assert embedder._recent.cache_info().currsize == RECENT_EMBEDDINGS
+        # Evicted and embedded again: bit-identical, as from a cold embedder.
+        again = embedder.embed("report 0 about topic t0")
+        cold = HashingEmbedder(dimensions=32, seed=3)
+        assert np.array_equal(again, cold.embed("report 0 about topic t0"))
+        assert np.array_equal(first, cold.embed(query))
+
+    def test_embedders_do_not_share_a_window(self):
+        a, b = HashingEmbedder(dimensions=16, seed=0), HashingEmbedder(dimensions=16, seed=1)
+        a.embed("wind")
+        assert b._recent.cache_info().currsize == 0
+        assert not np.array_equal(a.embed("wind"), b.embed("wind"))
+
+
+class TestBackendMemos:
+    """Per head, per body text, per condition, per name; each behind a
+    module constant, none on a prompt or a (text, condition) pair."""
+
+    def test_thousands_of_distinct_conditions_and_documents_stay_bounded(self):
+        sim = SimulatedLLM(seed=0)
+        memos = {
+            prompts._recent_head: prompts.RECENT_HEADS,
+            prompts._require_name: prompts.RECENT_NAMES,
+            tokens._recent_word_count: tokens.RECENT_TEXTS,
+            knowledge._condition_plan: knowledge.RECENT_CONDITIONS,
+        }
+        for memo in memos:
+            memo.cache_clear()
+        for i in range(1500):
+            prompt = prompts.FILTER_DOCUMENT.render(
+                condition=f"caused by wind near gate {i}", document=f"report {i}: gusty crosswind"
+            )
+            assert sim.complete(prompt, model="sim-oracle").text == "yes"
+        assert sim.calls == 1500
+        for memo, bound in memos.items():
+            info = memo.cache_info()
+            assert info.maxsize == bound and 0 < info.currsize <= bound, memo
+        assert prompts._recent_head.cache_info().currsize == prompts.RECENT_HEADS
+        assert tokens._recent_word_count.cache_info().currsize == tokens.RECENT_TEXTS
+        assert knowledge._condition_plan.cache_info().currsize == knowledge.RECENT_CONDITIONS
+
+    def test_no_response_is_reused_with_the_cache_off(self):
+        sim = SimulatedLLM(seed=0)
+        llm = ReliableLLM(sim, cache_enabled=False)
+        try:
+            prompt = prompts.FILTER_DOCUMENT.render(condition="caused by wind", document="gusty")
+            for _ in range(5):
+                assert llm.complete(prompt, model="sim-oracle").text == "yes"
+            assert sim.calls == 5
+            assert llm.metrics()["cache_hits"] == 0
+        finally:
+            llm.close()
