@@ -34,10 +34,6 @@ Commands
     attached to the context — so shardable LLM operators scatter across
     worker processes — and print the coordinator's shard/worker counters
     plus the ``cluster.*`` metrics registry.
-``bench-shard``
-    Run the sharding benchmark (single-process operator vs a 4-worker
-    scatter/gather over the same corpus, byte-identity checked) and
-    optionally write ``BENCH_sharding.json``.
 ``runtime-stats``
     Run the ETL build and a Luna query through the shared
     :class:`repro.runtime.RequestScheduler` and print its statistics —
@@ -60,10 +56,6 @@ Commands
     questions submitted concurrently, so the cache and coalescing
     behaviour is visible) and exits; otherwise questions are read from
     the command line or stdin.
-``bench-serve``
-    Run the serving benchmark (warm concurrent service vs cold
-    sequential ``Luna.query`` loop, plus an overload/shedding phase) and
-    optionally write ``BENCH_serving.json``.
 ``plan-explain``
     Run a query through the cost-based optimizer and print the
     optimizer report — the rewrites applied (predicate reorder,
@@ -531,33 +523,6 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_shard(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .cluster.bench import render_results, run_sharding_benchmark
-
-    print(
-        f"sharding benchmark: {args.docs} docs, {args.workers} workers x "
-        f"{args.shards_per_worker} shards/worker "
-        f"(latency scale {args.latency_scale})..."
-    )
-    results = run_sharding_benchmark(
-        n_docs=args.docs,
-        workers=args.workers,
-        shards_per_worker=args.shards_per_worker,
-        latency_scale=args.latency_scale,
-        seed=args.seed,
-    )
-    print()
-    print(render_results(results))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(results, handle, indent=2)
-            handle.write("\n")
-        print(f"\nresults written to {args.json}")
-    return 0 if results["byte_identical"] else 1
-
-
 def _cmd_runtime_stats(args: argparse.Namespace) -> int:
     print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
     scheduler = _make_scheduler(args)
@@ -729,34 +694,6 @@ def _serve_gateway(args: argparse.Namespace, ctx: Any, config: Any) -> int:
         print("draining gateway...")
         gateway.close(drain=True)
         print("gateway closed")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .serving.bench import render_results, run_serving_benchmark
-
-    print(
-        f"serving benchmark: {args.docs} docs, {args.repeats} repeats, "
-        f"{args.tenants} tenants, {args.workers} workers "
-        f"(latency scale {args.latency_scale})..."
-    )
-    results = run_serving_benchmark(
-        n_docs=args.docs,
-        repeats=args.repeats,
-        tenants=args.tenants,
-        workers=args.workers,
-        latency_scale=args.latency_scale,
-        seed=args.seed,
-    )
-    print()
-    print(render_results(results))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(results, handle, indent=2)
-            handle.write("\n")
-        print(f"\nresults written to {args.json}")
     return 0
 
 
@@ -1212,31 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(handler=_cmd_serve)
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="benchmark warm concurrent serving vs a cold sequential loop",
-    )
-    bench_serve.add_argument("--seed", type=int, default=13)
-    bench_serve.add_argument("--docs", type=int, default=24, help="corpus size")
-    bench_serve.add_argument(
-        "--repeats", type=int, default=3, help="times each question is asked"
-    )
-    bench_serve.add_argument("--tenants", type=int, default=2)
-    bench_serve.add_argument("--workers", type=int, default=4)
-    bench_serve.add_argument(
-        "--latency-scale",
-        type=float,
-        default=0.01,
-        help="fraction of virtual LLM latency really slept",
-    )
-    bench_serve.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the results JSON (e.g. BENCH_serving.json)",
-    )
-    bench_serve.set_defaults(handler=_cmd_bench_serve)
-
     cluster_stats = sub.add_parser(
         "cluster-stats",
         help="run a query over a worker cluster and report shard/worker stats",
@@ -1258,30 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards-per-worker", type=int, default=2, help="shards per worker"
     )
     cluster_stats.set_defaults(handler=_cmd_cluster_stats)
-
-    bench_shard = sub.add_parser(
-        "bench-shard",
-        help="benchmark sharded scatter/gather vs a single-process operator",
-    )
-    bench_shard.add_argument("--seed", type=int, default=0)
-    bench_shard.add_argument(
-        "--docs", type=int, default=5000, help="benchmark corpus size"
-    )
-    bench_shard.add_argument("--workers", type=int, default=4)
-    bench_shard.add_argument("--shards-per-worker", type=int, default=2)
-    bench_shard.add_argument(
-        "--latency-scale",
-        type=float,
-        default=0.01,
-        help="fraction of virtual LLM latency really slept",
-    )
-    bench_shard.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the results JSON (e.g. BENCH_sharding.json)",
-    )
-    bench_shard.set_defaults(handler=_cmd_bench_shard)
 
     partition = sub.add_parser(
         "partition", help="show the partitioner's output for one report"

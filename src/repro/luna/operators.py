@@ -12,6 +12,7 @@ inspection and editing (the human-in-the-loop tenet).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -34,24 +35,67 @@ SHARDABLE_OPERATIONS = ("BasicFilter", "LlmFilter", "LlmExtract")
 #: whose confidence the executor can score to decide escalation.
 CASCADE_ELIGIBLE_OPERATIONS = ("LlmFilter", "LlmExtract")
 
-#: operation name -> (required fields, arity). Arity is the number of
-#: inputs the operator consumes: 0 (source), 1, 2, or "+" (1 or more).
+#: operation name -> required fields, arity and default description.
+#: Arity is the number of inputs the operator consumes: 0 (source), 1, 2,
+#: or "+" (1 or more). ``description`` narrates a node that carries none
+#: of its own: a format string over the node's params (an absent param
+#: reads ``None``); an operator without one is narrated by its name.
 OPERATOR_SPECS: Dict[str, Dict[str, Any]] = {
-    "QueryIndex": {"required": ("index",), "arity": 0},
-    "FromDocuments": {"required": ("index", "doc_ids"), "arity": 0},
-    "BasicFilter": {"required": ("field", "op", "value"), "arity": 1},
-    "LlmFilter": {"required": ("condition",), "arity": 1},
-    "LlmExtract": {"required": ("field",), "arity": 1},
-    "Count": {"required": (), "arity": 1},
-    "Aggregate": {"required": ("func", "field"), "arity": 1},
-    "TopK": {"required": ("field",), "arity": 1},
+    "QueryIndex": {
+        "required": ("index",),
+        "arity": 0,
+        "description": "Read records from index '{index}'",
+    },
+    "FromDocuments": {
+        "required": ("index", "doc_ids"),
+        "arity": 0,
+        "description": "Start from the records of the previous answer",
+    },
+    "BasicFilter": {
+        "required": ("field", "op", "value"),
+        "arity": 1,
+        "description": "Filter where {field} {op} {value!r}",
+    },
+    "LlmFilter": {
+        "required": ("condition",),
+        "arity": 1,
+        "description": "Semantically filter: {condition!r}",
+    },
+    "LlmExtract": {
+        "required": ("field",),
+        "arity": 1,
+        "description": "Extract field {field!r} with an LLM",
+    },
+    "Count": {"required": (), "arity": 1, "description": "Count the records"},
+    "Aggregate": {
+        "required": ("func", "field"),
+        "arity": 1,
+        "description": "Compute {func} of {field}",
+    },
+    "TopK": {
+        "required": ("field",),
+        "arity": 1,
+        "description": "Rank values of {field}",
+    },
     "Sort": {"required": ("field",), "arity": 1},
     "Limit": {"required": ("k",), "arity": 1},
     "Project": {"required": ("fields",), "arity": 1},
-    "Distinct": {"required": ("field",), "arity": 1},
+    "Distinct": {
+        "required": ("field",),
+        "arity": 1,
+        "description": "Keep one record per distinct {field}",
+    },
     "Join": {"required": ("left_on", "right_on"), "arity": 2},
-    "Math": {"required": ("expression",), "arity": "+"},
-    "Summarize": {"required": (), "arity": 1},
+    "Math": {
+        "required": ("expression",),
+        "arity": "+",
+        "description": "Evaluate {expression}",
+    },
+    "Summarize": {
+        "required": (),
+        "arity": 1,
+        "description": "Summarize the records",
+    },
     "Identity": {"required": (), "arity": 1},
 }
 
@@ -183,7 +227,14 @@ class LogicalPlan:
         """The plan narrated step by step (§6.1: plans as natural text)."""
         lines = []
         for index, node in enumerate(self.nodes):
-            description = node.description or _default_description(node)
+            description = node.description
+            if not description:
+                template = OPERATOR_SPECS.get(node.operation, {}).get("description")
+                description = (
+                    template.format_map(defaultdict(lambda: None, node.params))
+                    if template
+                    else node.operation
+                )
             refs = ""
             if node.inputs:
                 refs = " (using " + ", ".join(f"step {i + 1}" for i in node.inputs) + ")"
@@ -193,33 +244,3 @@ class LogicalPlan:
     def copy(self) -> "LogicalPlan":
         """Deep, independent copy."""
         return LogicalPlan.from_json(json.loads(self.to_json()))
-
-
-def _default_description(node: PlanNode) -> str:
-    if node.operation == "QueryIndex":
-        return f"Read records from index '{node.params.get('index')}'"
-    if node.operation == "FromDocuments":
-        count = len(node.params.get("doc_ids", []))
-        return f"Start from the {count} records of the previous answer"
-    if node.operation == "BasicFilter":
-        return (
-            f"Filter where {node.params.get('field')} "
-            f"{node.params.get('op')} {node.params.get('value')!r}"
-        )
-    if node.operation == "LlmFilter":
-        return f"Semantically filter: {node.params.get('condition')!r}"
-    if node.operation == "LlmExtract":
-        return f"Extract field {node.params.get('field')!r} with an LLM"
-    if node.operation == "Count":
-        return "Count the records"
-    if node.operation == "Aggregate":
-        return f"Compute {node.params.get('func')} of {node.params.get('field')}"
-    if node.operation == "TopK":
-        return f"Rank values of {node.params.get('field')}"
-    if node.operation == "Math":
-        return f"Evaluate {node.params.get('expression')}"
-    if node.operation == "Distinct":
-        return f"Keep one record per distinct {node.params.get('field')}"
-    if node.operation == "Summarize":
-        return "Summarize the records"
-    return node.operation

@@ -17,9 +17,7 @@ Implemented rewrites, each reported in the optimization log:
 * **filter fusion** — adjacent ``LlmFilter`` nodes fuse into one
   condition, halving LLM calls (batching of operations);
 * **model selection** — semantic operators are annotated with the model
-  tier the policy dictates (frontier vs cheap model);
-* **batching** — semantic operators are annotated with a parallelism
-  hint for the executor.
+  tier the policy dictates (frontier vs cheap model).
 
 Rewrites never change node count or indexes (fused/substituted nodes
 degrade to ``Identity`` or swap contents in place), so ``Math``
@@ -49,7 +47,6 @@ class OptimizerPolicy:
     enable_pushdown: bool = True
     enable_string_substitution: bool = True
     enable_fusion: bool = True
-    llm_parallelism: int = 8
     #: Cheap-model-first cascades (repro.optimizer): eligible semantic
     #: operators draft on ``cascade_draft_model`` and escalate to the
     #: policy's model only below ``cascade_confidence_threshold``.
@@ -242,7 +239,6 @@ class LunaOptimizer:
             if model is None:
                 continue
             node.params["model"] = model
-            node.params["parallelism"] = self.policy.llm_parallelism
             log.append(f"model: node {index} {node.operation} -> {model}")
         return log
 

@@ -9,8 +9,8 @@ analytics (see ``docs/OPTIMIZER.md`` for the worked equations):
 * cost(node)   — rows_in x $/row, where $/row for a semantic operator is
   the model's token prices applied to a per-operation token profile (or
   the learned figure when the store has seen this key);
-* latency(node) — rows_in x s/row from the model's virtual latency curve
-  divided by the operator's parallelism hint.
+* latency(node) — rows_in x s/row from the model's virtual latency
+  curve.
 
 Cascade-annotated nodes cost ``votes x draft_$/row + escalation_rate x
 verify_$/row``: every row pays the (cheap) draft votes and only the
@@ -169,7 +169,7 @@ class CostModel:
         return ESCALATION_PRIOR
 
     def latency_per_row(self, node: PlanNode) -> float:
-        """Estimated seconds per input row (before parallelism)."""
+        """Estimated seconds per input row."""
         learned = None
         if self.stats is not None:
             learned = self.stats.latency_per_row(
@@ -225,14 +225,13 @@ class CostModel:
             rows_out = rows_in
         # Summarize makes one collection-level call, not one per record.
         effective_rows = 1.0 if node.operation == "Summarize" else rows_in
-        parallelism = max(1, int(node.params.get("parallelism", 1) or 1))
         return NodeEstimate(
             index=index,
             operation=node.operation,
             rows_in=rows_in,
             rows_out=rows_out,
             cost_usd=effective_rows * self.cost_per_row(node),
-            latency_s=effective_rows * self.latency_per_row(node) / parallelism,
+            latency_s=effective_rows * self.latency_per_row(node),
         )
 
     def estimate_plan(self, plan: LogicalPlan, source_rows: float) -> PlanEstimate:

@@ -373,7 +373,6 @@ class QueryService:
         self._peak_queue_depth = 0
         #: EMA of recent per-query latency, feeding Overloaded.retry_after_s.
         self._latency_ema_s = 0.0
-        self._luna_local = threading.local()
         # Adaptive optimizer state. Every execution feeds observed
         # operator statistics into the live store, but decisions are made
         # against a *frozen* snapshot pinned per epoch: identical
@@ -388,6 +387,9 @@ class QueryService:
         self._optimizer_lock = threading.Lock()
         self._optimizer_epoch = 0
         self._stats_snapshot = self.stats_store.snapshot()
+        #: The epoch's Luna facade, shared by every worker; built on first
+        #: use and dropped when the epoch rolls.
+        self._epoch_luna: Optional[Luna] = None
         # Scatter/gather back-end: served queries route large per-record
         # LLM operators through worker processes (see repro.cluster).
         # Lazy import — serving is on the luna -> cluster -> serving
@@ -589,32 +591,29 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def _luna(self) -> Luna:
-        """This worker thread's private Luna facade (lazily built).
+        """The current optimizer epoch's Luna facade, shared by all workers.
 
-        Rebuilt when the optimizer epoch rolls: each worker's optimizer
-        is pinned to the epoch's frozen statistics snapshot, while the
-        live store (shared) keeps accumulating observations.
+        Its optimizer is pinned to the epoch's frozen statistics
+        snapshot, while the live store keeps accumulating observations.
+        A query in flight across an epoch roll keeps the facade it took.
         """
         with self._optimizer_lock:
-            epoch = self._optimizer_epoch
-            snapshot = self._stats_snapshot
-        luna = getattr(self._luna_local, "luna", None)
-        if luna is None or getattr(self._luna_local, "epoch", -1) != epoch:
-            from ..optimizer import CostBasedOptimizer
+            if self._epoch_luna is None:
+                from ..optimizer import CostBasedOptimizer
 
-            luna = Luna(
-                self.context,
-                planner_model=self.config.planner_model,
-                policy=self.config.policy,
-                error_policy=self.config.error_policy,
-                stats_store=self.stats_store,
-                optimizer=CostBasedOptimizer(
-                    self.config.policy, stats=snapshot, registry=self.registry
-                ),
-            )
-            self._luna_local.luna = luna
-            self._luna_local.epoch = epoch
-        return luna
+                self._epoch_luna = Luna(
+                    self.context,
+                    planner_model=self.config.planner_model,
+                    policy=self.config.policy,
+                    error_policy=self.config.error_policy,
+                    stats_store=self.stats_store,
+                    optimizer=CostBasedOptimizer(
+                        self.config.policy,
+                        stats=self._stats_snapshot,
+                        registry=self.registry,
+                    ),
+                )
+            return self._epoch_luna
 
     def optimizer_fingerprint(self) -> str:
         """The cache-key component carrying this epoch's optimizer
@@ -634,6 +633,7 @@ class QueryService:
         with self._optimizer_lock:
             self._optimizer_epoch += 1
             self._stats_snapshot = snapshot
+            self._epoch_luna = None
             return f"{self.config.policy}:{snapshot.fingerprint()}"
 
     def _worker_loop(self) -> None:

@@ -21,7 +21,8 @@ The contracts under test, in the order the module docstrings state them:
 * sharded keyword/vector indexes return exactly the unsharded ranking.
 
 The multi-process tests use small corpora: spawn cost dominates, the
-invariants do not depend on scale (the sharding benchmark covers scale).
+invariants do not depend on scale (the perf harness's ``cluster_scatter``
+workload covers scale).
 """
 
 import json
@@ -37,7 +38,7 @@ from repro.cluster import (
     ClusterCoordinator,
     SpillableDocSet,
 )
-from repro.cluster.bench import generate_bench_corpus, run_sharding_benchmark
+from repro.cluster.bench import generate_bench_corpus
 from repro.cluster.envelope import (
     NonPicklableTaskError,
     ShardOp,
@@ -69,15 +70,19 @@ def _doc_bytes(documents):
 
 
 def _run_locally(config: ClusterConfig, documents, spec):
-    """The single-process reference: the exact worker code path."""
+    """The single-process reference: the exact worker code path.
+
+    Returns the output documents and the LLM calls the run made.
+    """
     context = build_worker_context(config.worker_config())
     try:
         output, _ = run_spec_locally(context, documents, spec)
+        llm_calls = context.cost_tracker.summary().calls
     finally:
         if context.scheduler is not None:
             context.scheduler.close(drain=False)
         context.close()
-    return output
+    return output, llm_calls
 
 
 # ----------------------------------------------------------------------
@@ -344,16 +349,25 @@ class TestShardedIndexes:
 
 class TestClusterExecution:
     def test_sharded_output_byte_identical_to_single_process(self):
-        """The tentpole invariant at small scale, via the benchmark
-        harness (so the benchmark's own plumbing is covered too)."""
-        results = run_sharding_benchmark(
-            n_docs=80, workers=2, shards_per_worker=2, latency_scale=0.0
+        """The cluster's core invariant at small scale: same bytes, and
+        the same traffic (one call per document) on both sides, on a
+        clean pool (no retry, no death, every worker still alive)."""
+        documents = generate_bench_corpus(80)
+        config = ClusterConfig(
+            n_workers=2, shards_per_worker=2, seed=0, default_model="sim-small"
         )
-        assert results["byte_identical"] is True
-        assert results["sharded"]["documents_out"] == 80
-        assert results["sharded"]["shards_completed"] == 4
-        assert results["sharded"]["worker_deaths"] == 0
-        assert results["single_process"]["llm_calls"] == 80
+        expected, local_calls = _run_locally(config, documents, EXTRACT_SPEC)
+        with ClusterCoordinator(config) as coordinator:
+            run = coordinator.run_segment(documents, EXTRACT_SPEC)
+            stats = coordinator.stats()
+        assert _doc_bytes(run.documents) == _doc_bytes(expected)
+        assert len(run.documents) == 80
+        assert run.completed_shards == 4
+        assert run.worker_deaths == 0
+        assert local_calls == 80
+        assert run.llm_calls == local_calls
+        assert run.retried_shards == 0
+        assert stats["workers"]["alive"] == 2
 
     def test_worker_death_is_healed_by_peer_retry(self):
         """Kill one worker mid-shard: the coordinator must notice, retry
@@ -362,7 +376,7 @@ class TestClusterExecution:
         config = ClusterConfig(
             n_workers=2, seed=0, default_model="sim-small", chaos_kill_shard=0
         )
-        expected = _run_locally(config, documents, EXTRACT_SPEC)
+        expected, _ = _run_locally(config, documents, EXTRACT_SPEC)
         with ClusterCoordinator(config) as coordinator:
             run = coordinator.run_segment(documents, EXTRACT_SPEC)
             stats = coordinator.stats()

@@ -278,6 +278,13 @@ class TestQueryRoutes:
         assert again["result_cache"] == "hit"
         assert again["answer"] == first["answer"]
         assert again["saved_usd"] > 0
+        # Another tenant's repeat is a hit too, credited to its own ledger.
+        other = client.query(
+            "How many incidents were caused by wind?", index="ntsb", tenant="globex"
+        )
+        assert other["result_cache"] == "hit"
+        assert other["answer"] == first["answer"]
+        assert client.costs()["globex"]["totals"]["saved_usd"] > 0
 
     def test_request_id_round_trip(self, gateway, client):
         served = client.query(
@@ -456,11 +463,11 @@ class TestOverloadAndDeadlines:
             def fire(i):
                 client = GatewayClient("127.0.0.1", gw.port, timeout_s=60.0)
                 try:
-                    client.query(
+                    served = client.query(
                         f"How many incidents happened in {2021 + i}?",
                         index="ntsb",
                     )
-                    outcome = (200, None)
+                    outcome = (200, served)
                 except GatewayError as exc:
                     outcome = (exc.status, exc)
                 with lock:
@@ -475,13 +482,19 @@ class TestOverloadAndDeadlines:
             for t in threads:
                 t.join()
             sheds = [exc for status, exc in statuses if status == 429]
-            oks = [status for status, _ in statuses if status == 200]
+            oks = [served for status, served in statuses if status == 200]
             assert sheds, "2x burst over capacity must shed 429s"
             assert oks, "admitted queries must still complete"
             assert len(sheds) + len(oks) == 6
             for exc in sheds:
                 assert exc.payload["error"] == "overloaded"
                 assert exc.retry_after_s and exc.retry_after_s > 0
+            # No admitted query was dropped: each 200 carries an answer,
+            # and the service counted exactly those, with no failure.
+            assert all(served["answer"] is not None for served in oks)
+            stats = gw.service.stats()
+            assert stats["completed"] == len(oks)
+            assert stats["failed"] == 0
         finally:
             gw.close()
 

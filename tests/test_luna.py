@@ -86,6 +86,48 @@ class TestPlanValidation:
         assert "Step 1" in text and "Step 3" in text
         assert "caused by wind" in text
 
+    def test_undescribed_nodes_narrate_from_the_operator_table(self):
+        """Every operator's default description comes from its
+        OPERATOR_SPECS entry, filled from the node's params."""
+        params = {
+            "index": "ntsb", "doc_ids": ["a", "b"], "field": "state",
+            "op": "eq", "value": "AK", "condition": "caused by wind",
+            "func": "avg", "expression": "#1 / #2", "k": 3,
+            "fields": ["state"], "left_on": "id", "right_on": "id",
+        }
+        expected = {
+            "QueryIndex": "Read records from index 'ntsb'",
+            "FromDocuments": "Start from the records of the previous answer",
+            "BasicFilter": "Filter where state eq 'AK'",
+            "LlmFilter": "Semantically filter: 'caused by wind'",
+            "LlmExtract": "Extract field 'state' with an LLM",
+            "Count": "Count the records",
+            "Aggregate": "Compute avg of state",
+            "TopK": "Rank values of state",
+            "Sort": "Sort",
+            "Limit": "Limit",
+            "Project": "Project",
+            "Distinct": "Keep one record per distinct state",
+            "Join": "Join",
+            "Math": "Evaluate #1 / #2",
+            "Summarize": "Summarize the records",
+            "Identity": "Identity",
+        }
+        assert set(expected) == set(OPERATOR_SPECS)
+        for operation, text in expected.items():
+            spec = OPERATOR_SPECS[operation]
+            node = PlanNode(
+                operation=operation,
+                params={name: params[name] for name in spec["required"]},
+            )
+            narrated = LogicalPlan(nodes=[node]).to_natural_language()
+            assert narrated == f"Step 1: {text}", operation
+        # A missing param reads None; a node's own description wins.
+        bare = LogicalPlan(nodes=[PlanNode(operation="LlmFilter")])
+        assert bare.to_natural_language() == "Step 1: Semantically filter: None"
+        own = LogicalPlan(nodes=[PlanNode(operation="Count", description="Tally")])
+        assert own.to_natural_language() == "Step 1: Tally"
+
     def test_consumers_includes_math_references(self):
         plan = plan_from(
             [

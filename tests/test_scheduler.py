@@ -461,15 +461,18 @@ class TestContextIntegration:
             ]
 
         direct = build(None)
-        sched = RequestScheduler(max_batch_size=4, max_wait_ms=2.0)
-        try:
-            scheduled = build(sched)
-            assert sorted(scheduled) == sorted(direct)
-            m = sched.metrics()
-            assert m["completed"] >= 8
-            assert m["queue_depth_bulk"] == 0
-        finally:
-            sched.close()
+        # Batching alone (dedup off) and the full scheduler both leave
+        # the answers exactly as a direct, one-call-per-prompt run.
+        for dedup in (True, False):
+            sched = RequestScheduler(max_batch_size=4, max_wait_ms=2.0, dedup=dedup)
+            try:
+                scheduled = build(sched)
+                assert sorted(scheduled) == sorted(direct)
+                m = sched.metrics()
+                assert m["completed"] >= 8
+                assert m["queue_depth_bulk"] == 0
+            finally:
+                sched.close()
 
     def test_executor_stats_carry_scheduler_delta(self, ntsb_corpus):
         from repro.partitioner import ArynPartitioner

@@ -227,8 +227,22 @@ class TestCacheKeys:
 
 class TestServiceSingleFlight:
     def test_n_threads_identical_query_one_plan_one_execution(self, served_ctx):
+        """Concurrent repeats of two distinct questions from two tenants:
+        each distinct question is planned and executed once, every other
+        request is a hit or a coalesced follower, and the saving shows in
+        both tenants' ledgers."""
         registry = MetricsRegistry()
-        n = 6
+        questions = [
+            "How many incidents were caused by wind?",
+            "How many incidents were caused by icing?",
+        ]
+        repeats = 4
+        mix = [
+            (f"tenant-{i % 2}", question)
+            for i in range(repeats)
+            for question in questions
+        ]
+        n, distinct = len(mix), len(questions)
         with QueryService(
             served_ctx,
             ServiceConfig(max_workers=4, default_tenant_inflight=n),
@@ -237,27 +251,28 @@ class TestServiceSingleFlight:
             with ThreadPoolExecutor(max_workers=n) as pool:
                 futures = [
                     pool.submit(
-                        service.query,
-                        "How many incidents were caused by wind?",
-                        "ntsb",
-                        timeout=60,
+                        service.query, question, "ntsb", tenant=tenant, timeout=60
                     )
-                    for _ in range(n)
+                    for tenant, question in mix
                 ]
                 results = [f.result(timeout=60) for f in futures]
             # The cache-concurrency invariant, asserted via counters.
-            assert registry.counter("serving.plans_computed").value() == 1
-            assert registry.counter("serving.executions").value() == 1
-            answers = {r.answer for r in results}
-            assert len(answers) == 1
+            assert registry.counter("serving.plans_computed").value() == distinct
+            assert registry.counter("serving.executions").value() == distinct
+            for question in questions:
+                answers = {r.answer for r in results if r.question == question}
+                assert len(answers) == 1
             outcomes = sorted(r.result_cache for r in results)
-            assert outcomes.count(MISS) == 1
-            assert outcomes.count(COALESCED) + outcomes.count(HIT) == n - 1
-            # Exactly one query paid; the rest were credited savings.
+            assert outcomes.count(MISS) == distinct
+            assert outcomes.count(COALESCED) + outcomes.count(HIT) == n - distinct
+            # One query per distinct question paid; the rest were credited
+            # savings, visible per tenant.
             payers = [r for r in results if r.cost_usd > 0]
             savers = [r for r in results if r.saved_usd > 0]
-            assert len(payers) == 1
-            assert len(savers) == n - 1
+            assert len(payers) == distinct
+            assert len(savers) == n - distinct
+            for tenant in ("tenant-0", "tenant-1"):
+                assert service.tenant_account(tenant).saved_usd > 0
 
     def test_version_bump_invalidates_result_cache_keeps_plan_cache(
         self, served_ctx
@@ -279,12 +294,16 @@ class TestServiceSingleFlight:
             assert registry.counter("serving.executions").value() == 2
 
     def test_served_answer_matches_plain_luna(self, served_ctx, service):
-        question = "How many incidents were caused by wind?"
-        expected = Luna(served_ctx, error_policy="dead_letter").query(
-            question, "ntsb"
-        )
-        served = service.query(question, "ntsb", timeout=60)
-        assert served.answer == expected.answer
+        luna = Luna(served_ctx, error_policy="dead_letter")
+        for question in (
+            "How many incidents were caused by wind?",
+            "How many incidents were caused by icing?",
+            "How many incidents happened in 2023?",
+            "How many incidents had fatal injuries?",
+        ):
+            expected = luna.query(question, "ntsb")
+            served = service.query(question, "ntsb", timeout=60)
+            assert served.answer == expected.answer, question
 
 
 # ----------------------------------------------------------------------
