@@ -121,19 +121,30 @@ def test_bench_vector_index_modes(benchmark):
     mid_recall, mid_latency = measure(True, n_probe=6)
     narrow_recall, narrow_latency = measure(True, n_probe=2)
 
+    def rows_scored(n_probe: int) -> float:
+        """Vectors a query is compared with, averaged over the queries:
+        what the probe budget buys, whatever the box is doing."""
+        return sum(len(index._ivf_candidate_rows(q, n_probe)) for q in queries) / len(queries)
+
+    exact_rows = float(len(index))
+    wide_rows, mid_rows, narrow_rows = rows_scored(14), rows_scored(6), rows_scored(2)
+
     rows = [
-        ["exact scan", f"{exact_recall:.0%}", f"{exact_latency * 1e6:.0f} us"],
-        ["IVF n_probe=14", f"{wide_recall:.0%}", f"{wide_latency * 1e6:.0f} us"],
-        ["IVF n_probe=6", f"{mid_recall:.0%}", f"{mid_latency * 1e6:.0f} us"],
-        ["IVF n_probe=2", f"{narrow_recall:.0%}", f"{narrow_latency * 1e6:.0f} us"],
+        ["exact scan", f"{exact_recall:.0%}", f"{exact_rows:.0f}", f"{exact_latency * 1e6:.0f} us"],
+        ["IVF n_probe=14", f"{wide_recall:.0%}", f"{wide_rows:.0f}", f"{wide_latency * 1e6:.0f} us"],
+        ["IVF n_probe=6", f"{mid_recall:.0%}", f"{mid_rows:.0f}", f"{mid_latency * 1e6:.0f} us"],
+        ["IVF n_probe=2", f"{narrow_recall:.0%}", f"{narrow_rows:.0f}", f"{narrow_latency * 1e6:.0f} us"],
     ]
     print_table(
         "A2: vector search mode (400-doc corpus, ~20 IVF cells, recall@5)",
-        ["mode", "recall@5", "latency/query"],
+        ["mode", "recall@5", "rows scored", "latency/query"],
         rows,
     )
     # Shape: recall is monotone in the probe budget, with exact scan as
-    # the ceiling; narrowing probes buys latency.
+    # the ceiling; narrowing probes buys work, asserted on the rows a
+    # query scores. The latencies are two ~150 us timings: printed, and
+    # too close to order on a loaded box.
     assert exact_recall >= wide_recall >= mid_recall >= narrow_recall
     assert wide_recall >= exact_recall - 0.10
-    assert narrow_latency <= exact_latency
+    assert exact_rows >= wide_rows >= mid_rows >= narrow_rows
+    assert narrow_rows <= exact_rows / 4

@@ -2,6 +2,7 @@
 """cProfile one repeat of a perf-harness workload.
 
     python3 scripts/profile_workload.py {etl_ingest,query_inproc} [--smoke] [--seed N] [--top N]
+    python3 scripts/profile_workload.py query_inproc --split [--smoke] [--seed N]
 
 Runs the workload's repeat once to warm the process (imports, regex
 caches, thread pools), profiles the next one, and prints the top
@@ -11,6 +12,14 @@ gets a profiler of its own and the tables are merged. One more repeat
 then runs with no profiler, and the last line printed is the backend
 calls of a repeat and its wall microseconds per call (and per question
 on ``query_inproc``), which is the number to size a per-call change by.
+
+``query_inproc --split`` profiles nothing. It captures the prompts of one
+suite pass and replays them against the backend alone, against the
+client (``ReliableLLM`` over that backend) alone, and as the full pass,
+interleaved round after round, and prints the minimum and median
+microseconds per backend call of each layer: what the simulated model
+costs, what the client adds to it, and what everything above the client
+(executor, DocSet, Luna, planner, rollups) adds to that.
 
 The repeats are built from the pieces ``benchmarks/perf/workloads.py``
 exposes, which this script imports and does not change. cProfile taxes
@@ -23,11 +32,12 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import statistics
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "perf")]
@@ -39,6 +49,7 @@ from repro.datagen import (  # noqa: E402
     generate_earnings_corpus,
     generate_ntsb_corpus,
 )
+from repro.llm.base import LLMClient, LLMResponse  # noqa: E402
 from repro.luna import Luna  # noqa: E402
 
 
@@ -69,8 +80,9 @@ def etl_ingest(seed: int, sizes: Sizes) -> Repeat:
     return repeat, lambda: None
 
 
-def query_inproc(seed: int, sizes: Sizes) -> Repeat:
-    """One pass of the question suite on one long-lived context."""
+def _query_stack(seed: int, sizes: Sizes) -> Tuple[Any, List[Any], Luna]:
+    """``query_inproc``'s long-lived context with both corpora ingested:
+    (stack, the question suite, a Luna over the stack)."""
     ntsb_records, ntsb = generate_ntsb_corpus(sizes.query_ntsb, seed=2 * seed)
     earn_records, earnings = generate_earnings_corpus(sizes.query_earnings, seed=2 * seed + 1)
     stack = workloads.build_stack(
@@ -78,8 +90,12 @@ def query_inproc(seed: int, sizes: Sizes) -> Repeat:
     )
     stack.ingest(ntsb, workloads.NTSB_SCHEMA, "ntsb")
     stack.ingest(earnings, workloads.EARNINGS_SCHEMA, "earnings")
-    suite = build_full_suite(ntsb_records, earn_records)
-    luna = Luna(stack.ctx)
+    return stack, build_full_suite(ntsb_records, earn_records), Luna(stack.ctx)
+
+
+def query_inproc(seed: int, sizes: Sizes) -> Repeat:
+    """One pass of the question suite on one long-lived context."""
+    stack, suite, luna = _query_stack(seed, sizes)
 
     def repeat() -> Tuple[int, int, str]:
         before = stack.sim.calls
@@ -90,6 +106,78 @@ def query_inproc(seed: int, sizes: Sizes) -> Repeat:
 
 
 WORKLOADS = {"etl_ingest": etl_ingest, "query_inproc": query_inproc}
+
+#: Interleaved rounds of ``--split`` (and under ``--smoke``).
+SPLIT_ROUNDS, SPLIT_ROUNDS_SMOKE = 15, 3
+
+
+class _Recorder(LLMClient):
+    """Stands in front of the backend for one pass and keeps its calls."""
+
+    def __init__(self, inner: LLMClient):
+        self.inner = inner
+        self.calls: List[Tuple[str, str, Optional[int], float]] = []
+
+    def complete(
+        self,
+        prompt: str,
+        model: str = "sim-large",
+        max_output_tokens: Optional[int] = None,
+        temperature: float = 0.0,
+    ) -> LLMResponse:
+        self.calls.append((prompt, model, max_output_tokens, temperature))
+        return self.inner.complete(prompt, model, max_output_tokens, temperature)
+
+
+def split(seed: int, sizes: Sizes, rounds: int) -> None:
+    """Per backend call: the backend, the client over it, the full pass."""
+    stack, suite, luna = _query_stack(seed, sizes)
+    llm, tracer = stack.ctx.llm, stack.ctx.tracer
+    try:
+        workloads._suite_pass(luna, suite)  # warm
+        recorder = _Recorder(llm.backend)
+        llm.backend = recorder
+        workloads._suite_pass(luna, suite)
+        llm.backend = recorder.inner
+        captured = recorder.calls
+
+        def replay(client: LLMClient) -> None:
+            # One root span per replay, as a query is: the client's spans
+            # are children, and the finished trace can be evicted.
+            with tracer.span("split:replay", kind="query"):
+                for prompt, model, max_output_tokens, temperature in captured:
+                    client.complete(prompt, model, max_output_tokens, temperature)
+
+        layers: Dict[str, Callable[[], Any]] = {
+            "backend": lambda: replay(stack.sim),
+            "client": lambda: replay(llm),
+            "full pass": lambda: workloads._suite_pass(luna, suite),
+        }
+        per_call_us: Dict[str, List[float]] = {name: [] for name in layers}
+        for _ in range(rounds):
+            for name, run in layers.items():
+                before = stack.sim.calls
+                started = time.perf_counter()
+                run()
+                wall_us = (time.perf_counter() - started) * 1e6
+                assert stack.sim.calls - before == len(captured), name
+                per_call_us[name].append(wall_us / len(captured))
+    finally:
+        stack.ctx.close()
+    print(
+        f"{len(captured)} backend calls per pass of {len(suite)} questions, "
+        f"seed {seed}, {rounds} interleaved rounds; us per call"
+    )
+    print(f"{'layer':<18} {'min':>8} {'median':>8}")
+    low = {name: min(values) for name, values in per_call_us.items()}
+    mid = {name: statistics.median(values) for name, values in per_call_us.items()}
+    for name in layers:
+        print(f"{name:<18} {low[name]:>8.1f} {mid[name]:>8.1f}")
+    for name, outer, inner in (
+        ("client - backend", "client", "backend"),
+        ("full - client", "full pass", "client"),
+    ):
+        print(f"{name:<18} {low[outer] - low[inner]:>8.1f} {mid[outer] - mid[inner]:>8.1f}")
 
 
 def profile(repeat: Callable[[], object]) -> pstats.Stats:
@@ -128,7 +216,21 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true", help="one tenth of the benchmark's sizes")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=30, help="rows per table")
+    parser.add_argument(
+        "--split",
+        action="store_true",
+        help="query_inproc only: us per call of backend, client and full pass, no profiler",
+    )
     args = parser.parse_args()
+    if args.split:
+        if args.workload != "query_inproc":
+            parser.error("--split replays the prompts of a query_inproc pass")
+        split(
+            args.seed,
+            SMOKE if args.smoke else FULL,
+            SPLIT_ROUNDS_SMOKE if args.smoke else SPLIT_ROUNDS,
+        )
+        return 0
 
     repeat, close = WORKLOADS[args.workload](args.seed, SMOKE if args.smoke else FULL)
     try:

@@ -30,6 +30,12 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 #: embedded once and must not stay pinned for the life of the context.
 RECENT_EMBEDDINGS = 512
 
+#: How many tokens (and bigrams) an embedder remembers the hashed slot
+#: of. A corpus keeps using the same few thousand, so a document's ~360
+#: slots cost a dictionary lookup each and not a blake2b; about 1 MB
+#: when full.
+RECENT_SLOTS = 4096
+
 #: Words too common to carry signal; damped rather than dropped so that
 #: texts made only of stopwords still embed to something.
 _COMMON = frozenset(
@@ -87,6 +93,7 @@ class HashingEmbedder:
         self.seed = seed
         self.concept_weight = concept_weight
         self._recent = lru_cache(maxsize=RECENT_EMBEDDINGS)(self._embed)
+        self._slot = lru_cache(maxsize=RECENT_SLOTS)(self._hash_slot)
         self._concept_vectors: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -136,9 +143,12 @@ class HashingEmbedder:
                 weight *= 0.1
             index, sign = self._slot(token)
             vector[index] += sign * weight
-        for first, second in zip(tokens, tokens[1:]):
-            index, sign = self._slot(f"{first}__{second}")
-            vector[index] += sign * 0.5
+        if len(tokens) > 1:
+            slots = [self._slot(f"{first}__{second}") for first, second in zip(tokens, tokens[1:])]
+            indices, signs = zip(*slots)
+            # Unbuffered and in order: each slot sees the additions a
+            # loop of ``vector[index] += sign * 0.5`` would make.
+            np.add.at(vector, np.array(indices), np.array(signs) * 0.5)
         return vector
 
     def _concept_component(self, text: str) -> np.ndarray:
@@ -168,7 +178,7 @@ class HashingEmbedder:
             self._concept_vectors = vectors
         return self._concept_vectors
 
-    def _slot(self, token: str) -> tuple:
+    def _hash_slot(self, token: str) -> tuple:
         digest = hashlib.blake2b(
             f"{self.seed}:{token}".encode("utf-8"), digest_size=8
         ).digest()

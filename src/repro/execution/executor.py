@@ -89,10 +89,21 @@ class ExecutionStats:
     #: execution (submitted, completed, dedup hits, batches, ...) when
     #: the executor runs against a :class:`repro.runtime.RequestScheduler`.
     scheduler: Optional[Dict[str, Any]] = None
-    #: Cost rollup derived from this execution's trace spans, when the
-    #: executor was constructed with a tracer. Same arithmetic as the
-    #: JSON trace export (both come from :meth:`CostAccount.from_spans`).
-    cost: Optional[CostAccount] = None
+    #: Set by a traced executor when the execution ends: rolls its spans up.
+    roll_up: Optional[Callable[[], CostAccount]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _cost: Optional[CostAccount] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def cost(self) -> Optional[CostAccount]:
+        """Cost rollup of this execution's trace spans (traced executors
+        only; None until the execution has ended), by the arithmetic of
+        the JSON trace export, :meth:`CostAccount.from_spans`. Made on
+        first read: a Luna query reads none and rolls up the whole query."""
+        if self._cost is None and self.roll_up is not None:
+            self._cost = self.roll_up()
+        return self._cost
 
     def node(self, name: str) -> NodeStats:
         """Per-node stats record (created on first access)."""
@@ -147,7 +158,7 @@ class Executor:
         (attached per call; parallel submissions each carry their own
         copied :mod:`contextvars` context), so any LLM request spans
         they open become its descendants. ``ExecutionStats.cost`` is
-        rolled up from the execution's spans on completion.
+        rolled up from the execution's spans once it has completed.
     registry:
         :class:`~repro.observability.MetricsRegistry` for aggregate
         record/retry counters (default: the process registry).
@@ -233,7 +244,7 @@ class Executor:
         else:
             self.tracer.finish(span)
         finally:
-            stats.cost = CostAccount.from_spans(self._descendant_spans(span))
+            stats.roll_up = lambda: CostAccount.from_spans(self._descendant_spans(span))
 
     def _descendant_spans(self, root: Span) -> List[Span]:
         """``root`` plus its descendants, from the tracer's span log.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..llm.base import LLMClient, LLMResponse
@@ -153,21 +154,9 @@ class FaultyLLM(LLMClient):
         )
         if decision.kind == "latency":
             self._sleeper(decision.latency_s)
-            return LLMResponse(
-                text=response.text,
-                model=response.model,
-                usage=response.usage,
-                latency_s=response.latency_s + decision.latency_s,
-                cached=response.cached,
-            )
+            return replace(response, latency_s=response.latency_s + decision.latency_s)
         if decision.kind == "malformed":
-            return LLMResponse(
-                text=_corrupt(response.text),
-                model=response.model,
-                usage=response.usage,
-                latency_s=response.latency_s,
-                cached=response.cached,
-            )
+            return replace(response, text=_corrupt(response.text))
         return response
 
 

@@ -132,13 +132,30 @@ class Usage:
 
 @dataclass
 class LLMResponse:
-    """The result of one completion call."""
+    """The result of one completion call.
+
+    ``price_usd`` is what its tokens cost at the model's prices. Whoever
+    makes the response sets it, once, and the ledger, the ``llm_request``
+    span and the ``llm.*`` counters read it here. None: not priced yet
+    (a backend with no price card; ``ReliableLLM`` prices it).
+    """
 
     text: str
     model: str
     usage: Usage = field(default_factory=Usage)
     latency_s: float = 0.0
     cached: bool = False
+    price_usd: Optional[float] = None
+
+    @property
+    def cost_usd(self) -> float:
+        """Dollars charged: the price, or nothing for a cached response."""
+        return 0.0 if self.cached else (self.price_usd or 0.0)
+
+    @property
+    def saved_usd(self) -> float:
+        """Dollars a cached response avoided: its price."""
+        return (self.price_usd or 0.0) if self.cached else 0.0
 
 
 class LLMClient(abc.ABC):

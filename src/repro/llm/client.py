@@ -32,6 +32,7 @@ from .errors import (
     MalformedOutputError,
     RateLimitError,
     TransientLLMError,
+    UnknownModelError,
 )
 
 
@@ -416,21 +417,19 @@ class ReliableLLM(LLMClient):
                 else:
                     self.cache_misses += 1
             if hit is not None:
-                self._m_cache_hits.inc()
                 replay = LLMResponse(
                     text=hit.text,
                     model=hit.model,
                     usage=hit.usage,
                     latency_s=0.0,
                     cached=True,
+                    price_usd=hit.price_usd,
                 )
                 # A cache hit is still a request the query paid tokens
                 # for: record it (at zero simulated dollars) so per-query
                 # accounting is conservative and savings are reportable.
                 if self.tracker is not None:
-                    self.tracker.record(
-                        replay.model, replay.usage, 0.0, cached=True
-                    )
+                    self.tracker.record_response(replay)
                 self._account(span, replay, retries=0)
                 return replay
             self._m_cache_misses.inc()
@@ -483,6 +482,16 @@ class ReliableLLM(LLMClient):
                 f"giving up after {self.max_retries + 1} attempts"
             ) from last_error
 
+        if response.price_usd is None:
+            # A backend with no price card of its own: priced here, once,
+            # before the response can be cached, replayed or booked.
+            usage = response.usage
+            try:
+                response.price_usd = get_model_spec(response.model).cost_usd(
+                    usage.input_tokens, usage.output_tokens
+                )
+            except UnknownModelError:
+                response.price_usd = 0.0
         if cacheable:
             evicted = 0
             with self._cache_lock:
@@ -505,20 +514,17 @@ class ReliableLLM(LLMClient):
     ) -> None:
         """Publish one served response into the registry (and its span)."""
         usage = response.usage
-        try:
-            spec = get_model_spec(response.model)
-            full_cost = spec.cost_usd(usage.input_tokens, usage.output_tokens)
-        except Exception:  # unknown model: no price card
-            full_cost = 0.0
-        cost = 0.0 if response.cached else full_cost
-        saved = full_cost if response.cached else 0.0
-        self._m_requests.inc()
-        self._m_input_tokens.inc(usage.input_tokens)
-        self._m_output_tokens.inc(usage.output_tokens)
-        self._m_cost_usd.inc(cost)
-        if saved:
-            self._m_saved_usd.inc(saved)
-        self._m_latency.observe(response.latency_s)
+        cost, saved = response.cost_usd, response.saved_usd
+        updates = [
+            (self._m_requests, 1),
+            (self._m_input_tokens, usage.input_tokens),
+            (self._m_output_tokens, usage.output_tokens),
+            (self._m_cost_usd, cost),
+            (self._m_latency, response.latency_s),
+        ]
+        if response.cached:
+            updates += [(self._m_cache_hits, 1), (self._m_saved_usd, saved)]
+        self.registry.add_all(updates)
         if span is not None:
             span.set_attributes(
                 input_tokens=usage.input_tokens,

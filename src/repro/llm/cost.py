@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from .base import ModelSpec, Usage, get_model_spec
+from .base import LLMResponse, ModelSpec, Usage, get_model_spec
 
 
 @dataclass(slots=True)
@@ -86,30 +86,37 @@ class CostTracker:
         tag: str = "",
         spec: Optional[ModelSpec] = None,
     ) -> CallRecord:
-        """Record one call. Cached calls cost nothing and take no time."""
+        """Record one call by hand, priced here from its tokens. Cached
+        calls cost nothing and take no time."""
         spec = spec or get_model_spec(model)
-        cost = 0.0 if cached else spec.cost_usd(usage.input_tokens, usage.output_tokens)
+        price = spec.cost_usd(usage.input_tokens, usage.output_tokens)
+        return self.record_response(LLMResponse("", model, usage, latency_s, cached, price), tag)
+
+    def record_response(self, response: LLMResponse, tag: str = "") -> CallRecord:
+        """Record one served response at the price it carries."""
+        usage = response.usage
         record = CallRecord(
-            model=model,
+            model=response.model,
             input_tokens=usage.input_tokens,
             output_tokens=usage.output_tokens,
-            cost_usd=cost,
-            latency_s=0.0 if cached else latency_s,
-            cached=cached,
+            cost_usd=response.cost_usd,
+            latency_s=0.0 if response.cached else response.latency_s,
+            cached=response.cached,
             tag=tag,
-        )
-        one = CostSummary(
-            calls=1,
-            cached_calls=int(cached),
-            input_tokens=record.input_tokens,
-            output_tokens=record.output_tokens,
-            cost_usd=record.cost_usd,
-            latency_s=record.latency_s,
         )
         with self._lock:
             self._recent.append(record)
-            self._overall.add(one)
-            self._totals.setdefault((tag, model), CostSummary()).add(one)
+            key = (tag, response.model)
+            total = self._totals.get(key)
+            if total is None:
+                total = self._totals[key] = CostSummary()
+            for summary in (self._overall, total):
+                summary.calls += 1
+                summary.cached_calls += int(record.cached)
+                summary.input_tokens += record.input_tokens
+                summary.output_tokens += record.output_tokens
+                summary.cost_usd += record.cost_usd
+                summary.latency_s += record.latency_s
         return record
 
     def records(self) -> List[CallRecord]:

@@ -279,21 +279,42 @@ def match_concepts(condition: str) -> List[str]:
     return found
 
 
-@lru_cache(maxsize=4096)
-def _words_pattern(words: Tuple[str, ...]) -> "re.Pattern[str]":
-    """One compiled matcher for any of ``words`` standing alone."""
-    return re.compile(r"\b(?:%s)\b" % "|".join(map(re.escape, words)))
+def _is_word_char(ch: str) -> bool:
+    """What ``\\w`` matches in a ``str`` pattern."""
+    return ch.isalnum() or ch == "_"
 
 
-def _matcher(keywords: FrozenSet[str]) -> Tuple[Tuple[str, ...], Optional["re.Pattern[str]"]]:
-    """(multi-word keywords, matched as substrings; one compiled
-    alternation of the single-word keywords, or None when there are none)."""
-    words = tuple(sorted(k for k in keywords if " " not in k))
-    phrases = tuple(sorted(k for k in keywords if " " in k))
-    return phrases, (_words_pattern(words) if words else None)
+def _word_in(word: str, text: str) -> bool:
+    """``re.search(rf"\\b{re.escape(word)}\\b", text)``, by looking first.
+
+    A text almost never holds the word, and ``str.find`` says so at
+    memchr speed where the regex engine tries ``\\b`` at every
+    character. Only an occurrence is checked: ``\\b`` holds where exactly
+    one side is a word character, the ends of the text counting as none.
+    """
+    at = text.find(word)
+    if at == -1:
+        return False
+    starts_as_word, ends_as_word = _is_word_char(word[0]), _is_word_char(word[-1])
+    while at != -1:
+        end = at + len(word)
+        before = at > 0 and _is_word_char(text[at - 1])
+        after = end < len(text) and _is_word_char(text[end])
+        if before != starts_as_word and after != ends_as_word:
+            return True
+        at = text.find(word, at + 1)
+    return False
 
 
-_MATCHERS = {concept: _matcher(keywords) for concept, keywords in CONCEPT_KEYWORDS.items()}
+#: concept -> (multi-word keywords, matched as substrings; single-word
+#: keywords, matched standing alone).
+_MATCHERS = {
+    concept: (
+        tuple(sorted(k for k in keywords if " " in k)),
+        tuple(sorted(k for k in keywords if " " not in k)),
+    )
+    for concept, keywords in CONCEPT_KEYWORDS.items()
+}
 
 
 def _padded(text: str) -> str:
@@ -307,9 +328,13 @@ def _concept_in(norm: str, concept: str) -> bool:
     if matcher is None:
         return False
     phrases, words = matcher
-    if words is not None and words.search(norm):
-        return True
-    return any(phrase in norm for phrase in phrases)
+    for word in words:
+        if _word_in(word, norm):
+            return True
+    for phrase in phrases:
+        if phrase in norm:
+            return True
+    return False
 
 
 def text_matches_concept(text: str, concept: str) -> bool:
@@ -378,7 +403,7 @@ _STOPWORDS = frozenset(
 def _content_words_present(words: Tuple[str, ...], norm_text: str) -> bool:
     if not words:
         return False
-    hits = sum(1 for w in words if _words_pattern((w,)).search(norm_text))
+    hits = sum(1 for w in words if _word_in(w, norm_text))
     return hits >= max(1, (len(words) + 1) // 2)
 
 
@@ -389,12 +414,9 @@ def _content_words_present(words: Tuple[str, ...], norm_text: str) -> bool:
 
 def sentiment_of(text: str) -> str:
     """Crude document sentiment: 'positive', 'negative' or 'neutral'."""
-    positive = sum(
-        1 for kw in CONCEPT_KEYWORDS["positive_outlook"] if kw in normalize(text)
-    )
-    negative = sum(
-        1 for kw in CONCEPT_KEYWORDS["negative_outlook"] if kw in normalize(text)
-    )
+    norm = normalize(text)
+    positive = sum(1 for kw in CONCEPT_KEYWORDS["positive_outlook"] if kw in norm)
+    negative = sum(1 for kw in CONCEPT_KEYWORDS["negative_outlook"] if kw in norm)
     if positive > negative:
         return "positive"
     if negative > positive:

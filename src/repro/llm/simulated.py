@@ -135,9 +135,15 @@ class SimulatedLLM(LLMClient):
         latency = spec.latency_s(usage.input_tokens, usage.output_tokens)
         if self.real_latency_scale > 0.0:
             time.sleep(latency * self.real_latency_scale)
-        response = LLMResponse(text=text, model=model, usage=usage, latency_s=latency)
+        response = LLMResponse(
+            text=text,
+            model=model,
+            usage=usage,
+            latency_s=latency,
+            price_usd=spec.cost_usd(usage.input_tokens, usage.output_tokens),
+        )
         if self.tracker is not None:
-            self.tracker.record(model, usage, latency, spec=spec)
+            self.tracker.record_response(response)
         return response
 
     def _generate(

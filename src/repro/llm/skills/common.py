@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Any, List, Optional
+from typing import Any, FrozenSet, List, Optional, Tuple
 
 from .. import knowledge
 
@@ -56,21 +56,37 @@ def _name_tokens(name: str) -> List[str]:
 _GENERIC_TOKENS = {"us", "is", "of", "the", "a", "abbrev", "abbreviation", "name"}
 
 
-def find_labeled_value(field_name: str, text: str) -> Optional[str]:
+#: Label lines ready for matching: (the label's tokens, its value).
+LabelTokens = List[Tuple[FrozenSet[str], str]]
+
+
+def label_tokens(text: str) -> LabelTokens:
+    """The text's label lines with each label tokenised, labels made of
+    generic words alone left out: what :func:`find_labeled_value` matches
+    a field name against, parsed once for any number of fields."""
+    parsed = []
+    for label, value in label_lines(text):
+        tokens = frozenset(_name_tokens(label)) - _GENERIC_TOKENS
+        if tokens:
+            parsed.append((tokens, value))
+    return parsed
+
+
+def find_labeled_value(
+    field_name: str, text: str, labels: Optional[LabelTokens] = None
+) -> Optional[str]:
     """Value of the label line best matching a schema field name.
 
     Matching is by token overlap between the field name and the label
     ("incident_date" matches "Date", "us_state_abbrev" matches "State").
+    ``labels`` is ``label_tokens(text)`` when the caller already has it.
     """
     field_tokens = set(_name_tokens(field_name)) - _GENERIC_TOKENS
     if not field_tokens:
         return None
     best_value: Optional[str] = None
     best_score = 0.0
-    for label, value in label_lines(text):
-        lab_tokens = set(_name_tokens(label)) - _GENERIC_TOKENS
-        if not lab_tokens:
-            continue
+    for lab_tokens, value in label_tokens(text) if labels is None else labels:
         overlap = field_tokens & lab_tokens
         if not overlap:
             continue
@@ -100,13 +116,17 @@ def _coerce(value: str, field_type: str) -> Any:
     return value
 
 
-def extract_field(field_name: str, field_type: str, text: str) -> Any:
+def extract_field(
+    field_name: str, field_type: str, text: str, labels: Optional[LabelTokens] = None
+) -> Any:
     """Extract one schema field from rendered document text.
 
     Strategy mirrors what an instruction-following LLM does with these
     documents: prefer explicit metadata lines, then fall back to
     type-specific heuristics over the prose (dates, states, booleans
     derived from domain concepts, cause sentences, sentiment).
+    ``labels`` is ``label_tokens(text)``, for a caller extracting
+    several fields from one text.
     """
     name = field_name.lower()
 
@@ -117,7 +137,7 @@ def extract_field(field_name: str, field_type: str, text: str) -> Any:
         if cause is not None:
             return cause
 
-    labeled = find_labeled_value(field_name, text)
+    labeled = find_labeled_value(field_name, text, labels)
     if labeled is not None:
         if "state" in name:
             state = knowledge.find_state(labeled)

@@ -16,7 +16,7 @@ from typing import Any, Dict
 
 from .. import knowledge
 from ..errors import MalformedOutputError
-from .common import Noise, extract_field
+from .common import Noise, extract_field, label_tokens
 
 #: Difficulty weights: booleans derived from concepts slip more often than
 #: verbatim metadata-line copies.
@@ -31,9 +31,10 @@ def run_extract_properties(sections: Dict[str, str], noise: Noise) -> str:
     except json.JSONDecodeError as exc:
         raise MalformedOutputError(f"unparseable schema section: {exc}") from exc
     document = sections.get("document", "")
+    labels = label_tokens(document)  # parsed once, matched per field
     result: Dict[str, Any] = {}
     for field_name, field_type in schema.items():
-        value = extract_field(field_name, str(field_type), document)
+        value = extract_field(field_name, str(field_type), document, labels)
         weight = _FIELD_DIFFICULTY.get(str(field_type).lower(), 0.3)
         if noise.slips(weight):
             value = _degrade(field_name, str(field_type), value, noise)

@@ -31,7 +31,13 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+
+#: Guards the value of every instrument. An update holds it for a few
+#: bytecodes, so sharing it costs nothing, and a caller that moves
+#: several instruments per event (one LLM call moves six) can do so
+#: under one acquisition: :meth:`MetricsRegistry.add_all`.
+_VALUES = threading.Lock()
 
 
 class Counter:
@@ -42,23 +48,25 @@ class Counter:
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
         self._value = 0.0
 
     def inc(self, amount: "int | float" = 1) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
+        with _VALUES:
+            self._add(amount)
+
+    def _add(self, amount: "int | float") -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     def value(self) -> float:
         """Current cumulative value."""
-        with self._lock:
+        with _VALUES:
             return self._value
 
     def _reset(self) -> None:
-        with self._lock:
+        with _VALUES:
             self._value = 0.0
 
 
@@ -70,26 +78,25 @@ class Gauge:
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: "int | float") -> None:
         """Set the gauge to an absolute value."""
-        with self._lock:
+        with _VALUES:
             self._value = float(value)
 
     def inc(self, amount: "int | float" = 1) -> None:
         """Adjust the gauge by ``amount`` (may be negative)."""
-        with self._lock:
+        with _VALUES:
             self._value += amount
 
     def value(self) -> float:
         """Current value."""
-        with self._lock:
+        with _VALUES:
             return self._value
 
     def _reset(self) -> None:
-        with self._lock:
+        with _VALUES:
             self._value = 0.0
 
 
@@ -108,7 +115,6 @@ class Histogram:
             raise ValueError("max_samples must be >= 1")
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
         self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
@@ -117,24 +123,28 @@ class Histogram:
 
     def observe(self, value: "int | float") -> None:
         """Record one observation."""
+        with _VALUES:
+            self._add(value)
+
+    def _add(self, value: "int | float") -> None:
         value = float(value)
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-            self._samples.append(value)
+        self._count += 1
+        self._sum += value
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
+        self._samples.append(value)
 
     def value(self) -> Dict[str, float]:
         """Snapshot: count, sum, min, max, mean, p50/p90/p99."""
-        with self._lock:
+        with _VALUES:
             count = self._count
             total = self._sum
             lo = self._min
             hi = self._max
-            samples = sorted(self._samples)
+            samples = list(self._samples)
+        samples.sort()
         result: Dict[str, float] = {
             "count": count,
             "sum": round(total, 6),
@@ -147,7 +157,7 @@ class Histogram:
         return result
 
     def _reset(self) -> None:
-        with self._lock:
+        with _VALUES:
             self._count = 0
             self._sum = 0.0
             self._min = None
@@ -199,6 +209,14 @@ class MetricsRegistry:
                     f"{instrument.kind}, not {cls.kind}"
                 )
             return instrument
+
+    @staticmethod
+    def add_all(updates: "Iterable[Tuple[Counter | Histogram, int | float]]") -> None:
+        """``inc`` each counter and ``observe`` each histogram by the
+        amount paired with it, all under one lock acquisition."""
+        with _VALUES:
+            for instrument, amount in updates:
+                instrument._add(amount)
 
     def names(self) -> List[str]:
         """Sorted names of all registered instruments."""

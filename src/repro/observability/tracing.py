@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, List, Optional
 
 #: The ambient span, shared process-wide so parent discovery works across
 #: component boundaries regardless of which Tracer instance records.
@@ -103,6 +102,31 @@ class Span:
             "error": self.error,
             "attributes": dict(self.attributes),
         }
+
+
+class _Ambient:
+    """``with`` scope in which a span is the ambient one; with an
+    ``owner`` the span is also finished on the way out. A class, not a
+    generator: a scope is entered per LLM call and per record."""
+
+    __slots__ = ("_span", "_owner", "_token")
+
+    def __init__(self, span: Optional[Span], owner: "Optional[Tracer]"):
+        self._span = span
+        self._owner = owner
+
+    def __enter__(self) -> Any:  # the span, typed by span() and attach()
+        self._token = _CURRENT_SPAN.set(self._span)
+        return self._span
+
+    def __exit__(self, exc_type: Any, exc: Optional[BaseException], traceback: Any) -> None:
+        _CURRENT_SPAN.reset(self._token)
+        if self._owner is None or self._span is None:
+            return
+        if exc is None:
+            self._owner.finish(self._span)
+        else:
+            self._owner.finish(self._span, "error", f"{type(exc).__name__}: {exc}")
 
 
 class Tracer:
@@ -212,42 +236,26 @@ class Tracer:
             span.error = error
         return span
 
-    @contextmanager
     def span(
         self,
         name: str,
         kind: str = "internal",
         parent: "Span | None | object" = _AMBIENT,
         **attributes: Any,
-    ) -> Iterator[Span]:
+    ) -> ContextManager[Span]:
         """Context manager: start a span, make it ambient, finish on exit.
 
         An escaping exception marks the span ``error`` and re-raises.
         """
-        span = self.start_span(name, kind=kind, parent=parent, **attributes)
-        token = _CURRENT_SPAN.set(span)
-        try:
-            yield span
-        except BaseException as exc:
-            self.finish(span, status="error", error=f"{type(exc).__name__}: {exc}")
-            raise
-        else:
-            self.finish(span)
-        finally:
-            _CURRENT_SPAN.reset(token)
+        return _Ambient(self.start_span(name, kind=kind, parent=parent, **attributes), self)
 
-    @contextmanager
-    def attach(self, span: Optional[Span]) -> Iterator[Optional[Span]]:
+    def attach(self, span: Optional[Span]) -> ContextManager[Optional[Span]]:
         """Make an existing span ambient without owning its lifetime.
 
         Used to re-establish a parent inside a worker thread or to nest
         work under the scheduler's batch span.
         """
-        token = _CURRENT_SPAN.set(span)
-        try:
-            yield span
-        finally:
-            _CURRENT_SPAN.reset(token)
+        return _Ambient(span, None)
 
     # ------------------------------------------------------------------
     # Snapshots

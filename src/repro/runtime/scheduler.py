@@ -50,7 +50,7 @@ from ..lifecycle.deadline import (
     current_scope,
     wait_future,
 )
-from ..llm.base import LLMClient, LLMResponse, get_model_spec
+from ..llm.base import LLMClient, LLMResponse
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
 
@@ -442,18 +442,15 @@ class RequestScheduler:
             )
             return
         usage = result.usage
-        try:
-            full_cost = get_model_spec(result.model).cost_usd(
-                usage.input_tokens, usage.output_tokens
-            )
-        except Exception:  # unknown model: no price card
-            full_cost = 0.0
-        charged = full_cost if charge and not result.cached else 0.0
+        # Priced where the response was made; a waiter on a shared call
+        # is charged nothing and saves the whole price.
+        price = result.price_usd or 0.0
+        charged = result.cost_usd if charge else 0.0
         span.set_attributes(
             input_tokens=usage.input_tokens,
             output_tokens=usage.output_tokens,
             cost_usd=charged,
-            saved_usd=full_cost - charged,
+            saved_usd=price - charged,
             cached=result.cached,
         )
         self.tracer.finish(span)

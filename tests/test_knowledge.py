@@ -146,6 +146,125 @@ class TestCompiledMatcher:
         assert knowledge.concepts_in("a gusty crosswind, then frost") >= {"wind", "icing", "weather"}
 
 
+def reference_word_in(word, text):
+    """``_word_in`` as it was: a regex with a word boundary either side."""
+    return re.search(rf"\b{re.escape(word)}\b", text) is not None
+
+
+def reference_concept_in(padded, concept):
+    """``_concept_in`` as it was: the concept's single-word keywords as one
+    ``\\b(?:w1|...|wn)\\b`` alternation run over the whole padded text,
+    its phrases as substring tests."""
+    keywords = knowledge.CONCEPT_KEYWORDS.get(concept)
+    if keywords is None:
+        return False
+    words = sorted(k for k in keywords if " " not in k)
+    if words and re.search(r"\b(?:%s)\b" % "|".join(map(re.escape, words)), padded):
+        return True
+    return any(k in padded for k in keywords if " " in k)
+
+
+def reference_content_words_present(words, padded):
+    """``_content_words_present`` as it was, over the regex."""
+    hits = sum(1 for w in words if reference_word_in(w, padded))
+    return bool(words) and hits >= max(1, (len(words) + 1) // 2)
+
+
+SINGLE_WORDS = sorted(
+    {k for keywords in knowledge.CONCEPT_KEYWORDS.values() for k in keywords if " " not in k}
+    | {w for alias in knowledge.CONCEPT_ALIASES for w in alias.split()}
+)
+#: Words ``\\b`` treats unlike a keyword: an edge that is not a word
+#: character, an inner one, ``_``, a digit, a letter outside ASCII.
+ODD_WORDS = ["$12.5", "4%", "-", "--", ".", "a.b", "wind-", "-wind", "_x", "x_", "é", "12", "%$"]
+#: What normalize() leaves behind, plus ``_`` and the non-ASCII letters,
+#: digits and spaces it does not.
+kernel_alphabet = "abcdegilnstuwy0159%$._- \n" + "éßİ٣\u00a0\u2028"
+joints = st.sampled_from(["", " ", "-", "_", ".", "%", "$", "7", "s", "é", "\n"])
+embedded = st.builds(
+    lambda before, left, word, right, after: before + left + word + right + after,
+    st.text(alphabet=kernel_alphabet, max_size=12),
+    joints,
+    st.sampled_from(SINGLE_WORDS + ODD_WORDS),
+    joints,
+    st.text(alphabet=kernel_alphabet, max_size=12),
+)
+
+
+class TestFindThenCheckKernel:
+    """``str.find`` plus a look at both neighbours ≡ the regex it replaced,
+    on any string, padded or not."""
+
+    def assert_same(self, text):
+        for word in SINGLE_WORDS + ODD_WORDS:
+            assert knowledge._word_in(word, text) == reference_word_in(word, text), (word, text)
+        padded = " " + text + " "
+        for concept in CONCEPTS:
+            assert knowledge._concept_in(padded, concept) == reference_concept_in(
+                padded, concept
+            ), (concept, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(embedded, min_size=1, max_size=3).map("".join))
+    def test_words_embedded_at_every_kind_of_joint(self, text):
+        self.assert_same(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=kernel_alphabet, max_size=40))
+    def test_text_of_the_kernel_alphabet(self, text):
+        self.assert_same(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "wind",  # the whole string
+            "wind gust",  # at the start and at the end
+            "windy wind",  # a second occurrence counts when the first does not
+            "wind_ _wind wind7 7wind windé éwind",  # none of these stands alone
+            "wind- -wind wind. $wind wind% .wind",  # all of these do
+            "tail-wind\ncross.wind",
+            "gustgust gust",
+            "$12.5 a$12.5 $12.57 $12.5%",  # an edge that is no word character
+            "4%x 4% x4%",
+            "- -- a-b",
+        ],
+    )
+    def test_the_shapes_a_boundary_is_made_of(self, text):
+        self.assert_same(text)
+
+    def test_every_word_and_concept_on_every_generated_document(
+        self, ntsb_corpus, earnings_corpus
+    ):
+        found = 0
+        for raw in ntsb_corpus[1] + earnings_corpus[1]:
+            padded = knowledge._padded(raw.all_text())
+            for word in SINGLE_WORDS:
+                expected = reference_word_in(word, padded)
+                assert knowledge._word_in(word, padded) == expected, word
+                found += expected
+            for concept in CONCEPTS:
+                assert knowledge._concept_in(padded, concept) == reference_concept_in(
+                    padded, concept
+                ), concept
+        assert found > 400  # the corpora do hold the words
+
+    @given(st.lists(st.sampled_from(SINGLE_WORDS + ODD_WORDS), max_size=5), embedded)
+    def test_content_words(self, words, text):
+        padded = knowledge._padded(text)
+        assert knowledge._content_words_present(
+            tuple(words), padded
+        ) == reference_content_words_present(words, padded)
+
+    def test_a_condition_of_odd_words_alone(self):
+        # No concept named: the content words decide, "$12.5" and "4%" among them.
+        condition = "revenue of $12.5 rose 4%"
+        for text in ["Revenue of $12.5 million rose 4% on the year", "revenue rose", "a$12.5 4%x"]:
+            assert knowledge.condition_holds(condition, text) == reference_condition_holds(
+                condition, text
+            ), text
+
+
 class TestNormalizeKernel:
     """``str.translate`` on ASCII text, the regex on the rest ≡ the regex."""
 

@@ -8,16 +8,20 @@ arithmetic checked against a hand-computed plan.
 
 import contextvars
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.execution.executor import Executor
 from repro.execution.plan import Plan
+from repro.llm.base import LLMClient, LLMResponse, Usage, get_model_spec
 from repro.llm.client import ReliableLLM
 from repro.llm.cost import CostTracker
+from repro.llm.errors import TransientLLMError
 from repro.llm.simulated import SimulatedLLM
 from repro.observability import (
     CostAccount,
@@ -426,6 +430,178 @@ class TestReliableLLMAccounting:
         assert cached_span.attributes["input_tokens"] > 0
         assert registry.counter("llm.cache_hits").value() == 1.0
         assert registry.counter("llm.saved_usd").value() > 0.0
+
+
+class _FailsFirst(LLMClient):
+    """Raises a transient error on its first ``failures`` calls."""
+
+    def __init__(self, inner, failures):
+        self.inner = inner
+        self.failures = failures
+
+    def complete(self, prompt, model="sim-large", max_output_tokens=None, temperature=0.0):
+        if self.failures > 0:
+            self.failures -= 1
+            raise TransientLLMError("not this time")
+        return self.inner.complete(prompt, model, max_output_tokens, temperature)
+
+
+class _NoPriceCard(LLMClient):
+    """A backend that meters tokens and prices nothing."""
+
+    def complete(self, prompt, model="sim-large", max_output_tokens=None, temperature=0.0):
+        return LLMResponse(text="ok", model=model, usage=Usage(1200, 30, 1), latency_s=0.5)
+
+
+class TestOnePricedRecordPerCall:
+    """A response is priced where it is made, and the ledger, the
+    ``llm_request`` span, the ``llm.*`` counters and the span rollup all
+    say what that one price says."""
+
+    TOLERANCE = 1e-12
+
+    def stack(self, wrap=lambda sim: sim, **client_options):
+        tracker, tracer, registry = CostTracker(), Tracer(), MetricsRegistry()
+        sim = SimulatedLLM(seed=0, tracker=tracker)
+        llm = ReliableLLM(
+            wrap(sim),
+            tracker=tracker,
+            tracer=tracer,
+            registry=registry,
+            sleeper=lambda s: None,
+            **client_options,
+        )
+        return sim, llm, tracker, tracer, registry
+
+    def by_hand(self, response):
+        spec = get_model_spec(response.model)
+        usage = response.usage
+        return (
+            usage.input_tokens * spec.input_price_per_mtok
+            + usage.output_tokens * spec.output_price_per_mtok
+        ) / 1_000_000.0
+
+    def assert_books_agree(self, tracker, tracer, registry, trace_id, cost, saved, calls):
+        spans = [s for s in tracer.trace_spans(trace_id) if s.kind == "llm_request"]
+        account = CostAccount.from_spans(tracer.trace_spans(trace_id))
+        for got in (
+            tracker.summary().cost_usd,
+            sum(s.attributes.get("cost_usd", 0.0) for s in spans),
+            registry.counter("llm.cost_usd").value(),
+            account.cost_usd,
+        ):
+            assert got == pytest.approx(cost, abs=self.TOLERANCE)
+        for got in (
+            sum(s.attributes.get("saved_usd", 0.0) for s in spans),
+            registry.counter("llm.saved_usd").value(),
+            account.saved_usd,
+        ):
+            assert got == pytest.approx(saved, abs=self.TOLERANCE)
+        assert tracker.summary().calls == registry.counter("llm.requests").value() == calls
+        assert account.llm_calls == len(spans)
+
+    def test_a_real_call_then_a_cache_hit(self):
+        sim, llm, tracker, tracer, registry = self.stack()
+        with tracer.span("q", kind="query") as root:
+            first = llm.complete("what happened near the runway", model="sim-small")
+            price = self.by_hand(first)
+            assert price > 0 and first.price_usd == pytest.approx(price, abs=self.TOLERANCE)
+            assert (first.cost_usd, first.saved_usd) == (first.price_usd, 0.0)
+            self.assert_books_agree(tracker, tracer, registry, root.trace_id, price, 0.0, 1)
+            second = llm.complete("what happened near the runway", model="sim-small")
+        assert second.cached and second.price_usd == first.price_usd
+        assert (second.cost_usd, second.saved_usd) == (0.0, first.price_usd)
+        assert sim.calls == 1
+        self.assert_books_agree(tracker, tracer, registry, root.trace_id, price, price, 2)
+        assert tracker.summary().cached_calls == 1
+        assert registry.counter("llm.cache_hits").value() == 1
+
+    def test_a_scheduler_dedup_waiter(self):
+        sim, llm, tracker, tracer, registry = self.stack(cache_enabled=False)
+        scheduler = RequestScheduler(client=llm, max_wait_ms=20.0, tracer=tracer, registry=registry)
+        try:
+            with tracer.span("q", kind="query") as root:
+                a = scheduler.submit("same prompt", model="sim-small")
+                b = scheduler.submit("same prompt", model="sim-small")
+                assert a is b
+                response = a.result(timeout=10)
+        finally:
+            scheduler.close()
+        price = self.by_hand(response)
+        assert sim.calls == 1
+        # The query's trace holds the two submitters' spans; the client's
+        # own span hangs under the batch. Both views book the one price.
+        payer, waiter = sorted(
+            (s for s in tracer.trace_spans(root.trace_id) if s.kind == "llm_request"),
+            key=lambda s: bool(s.attributes.get("dedup")),
+        )
+        assert payer.attributes["cost_usd"] == pytest.approx(price, abs=self.TOLERANCE)
+        assert (waiter.attributes["cost_usd"], waiter.attributes["dedup"]) == (0.0, "inflight")
+        assert waiter.attributes["saved_usd"] == pytest.approx(price, abs=self.TOLERANCE)
+        account = CostAccount.from_spans(tracer.trace_spans(root.trace_id))
+        assert account.cost_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert account.saved_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert tracker.summary().cost_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert registry.counter("llm.cost_usd").value() == pytest.approx(price, abs=self.TOLERANCE)
+        assert registry.counter("llm.saved_usd").value() == 0.0  # the client served one call
+
+    def test_a_retried_call_and_an_errored_call(self):
+        sim, llm, tracker, tracer, registry = self.stack(
+            wrap=lambda sim: _FailsFirst(sim, failures=2), max_retries=2, cache_enabled=False
+        )
+        with tracer.span("q", kind="query") as root:
+            response = llm.complete("retry me", model="sim-large")
+        price = self.by_hand(response)
+        self.assert_books_agree(tracker, tracer, registry, root.trace_id, price, 0.0, 1)
+        (span,) = [s for s in tracer.trace_spans(root.trace_id) if s.kind == "llm_request"]
+        assert span.attributes["retries"] == 2 and sim.calls == 1
+
+        llm.backend.failures = 3  # more than the retries left
+        with tracer.span("q2", kind="query") as failed_root:
+            with pytest.raises(TransientLLMError):
+                llm.complete("give up on me", model="sim-large")
+        (errored,) = [s for s in tracer.trace_spans(failed_root.trace_id) if s.kind == "llm_request"]
+        assert errored.status == "error" and "cost_usd" not in errored.attributes
+        assert CostAccount.from_spans(tracer.trace_spans(failed_root.trace_id)).cost_usd == 0.0
+        # Nothing was served, so nothing was booked anywhere.
+        assert tracker.summary().calls == registry.counter("llm.requests").value() == 1
+        assert registry.counter("llm.cost_usd").value() == pytest.approx(price, abs=self.TOLERANCE)
+
+    def test_the_client_prices_a_backend_that_does_not(self):
+        tracker, tracer, registry = CostTracker(), Tracer(), MetricsRegistry()
+        llm = ReliableLLM(_NoPriceCard(), tracker=tracker, tracer=tracer, registry=registry)
+        with tracer.span("q", kind="query") as root:
+            first = llm.complete("p", model="sim-medium")
+            second = llm.complete("p", model="sim-medium")
+            unknown = llm.complete("p", model="no-such-model")
+        price = self.by_hand(first)
+        assert first.price_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert second.cached and second.saved_usd == first.price_usd
+        assert unknown.price_usd == 0.0  # no price card: tokens counted, no dollars
+        account = CostAccount.from_spans(tracer.trace_spans(root.trace_id))
+        assert account.cost_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert account.saved_usd == pytest.approx(price, abs=self.TOLERANCE)
+        assert registry.counter("llm.cost_usd").value() == pytest.approx(price, abs=self.TOLERANCE)
+        # This backend keeps no ledger: only the client's cache hit is in it.
+        assert (tracker.summary().calls, tracker.summary().cost_usd) == (1, 0.0)
+
+    def test_where_src_prices_tokens(self):
+        """``.cost_usd(`` is called where a response (or a by-hand ledger
+        entry) is made, and nowhere a made response is read. The
+        optimizer's cost model prices estimates, not responses."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        sites = sorted(
+            f"{path.relative_to(src)}:{line.strip()}"
+            for path in src.rglob("*.py")
+            if path.relative_to(src).as_posix() != "optimizer/costmodel.py"
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if re.search(r"\.cost_usd\(", line)
+        )
+        assert [site.split(":")[0] for site in sites] == [
+            "llm/client.py",  # the gate for a backend that does not price
+            "llm/cost.py",  # CostTracker.record, the entry made by hand
+            "llm/simulated.py",  # where the simulated response is made
+        ], sites
 
 
 # ----------------------------------------------------------------------

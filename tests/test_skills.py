@@ -17,7 +17,9 @@ from repro.llm import (
     SimulatedLLM,
     render_task_prompt,
 )
+from repro.llm.skills import common
 from repro.llm.skills.common import Noise, extract_field, find_labeled_value, label_lines
+from repro.llm.skills.extraction import run_extract_properties
 
 NTSB_DOC = """Report ID: NTSB-2023-00042
 Location: Anchorage, AK
@@ -115,6 +117,92 @@ class TestExtractionSkill:
         )
         result = oracle.complete_json(prompt, model="sim-oracle")
         assert result == {"nonexistent_field": None}
+
+
+def reference_find_labeled_value(field_name, text, labels=None):
+    """``find_labeled_value`` as it was: the label lines parsed and every
+    label tokenised again for each field asked about."""
+    field_tokens = set(common._name_tokens(field_name)) - common._GENERIC_TOKENS
+    if not field_tokens:
+        return None
+    best_value = None
+    best_score = 0.0
+    for label, value in label_lines(text):
+        lab_tokens = set(common._name_tokens(label)) - common._GENERIC_TOKENS
+        if not lab_tokens:
+            continue
+        overlap = field_tokens & lab_tokens
+        if not overlap:
+            continue
+        score = len(overlap) / max(len(field_tokens | lab_tokens), 1)
+        if score > best_score:
+            best_score = score
+            best_value = value
+    return best_value
+
+
+class TestLabelsParsedOncePerCall:
+    """One parse of the label lines per extract call ≡ one per field."""
+
+    SCHEMAS = {
+        "ntsb": {
+            "state": "string",
+            "incident_year": "int",
+            "weather_related": "bool",
+            "injuries_fatal": "int",
+            "aircraft": "string",
+            "us_state_abbrev": "string",
+            "incident_date": "string",
+            "probable_cause": "string",
+        },
+        "earnings": {
+            "company": "string",
+            "sector": "string",
+            "fiscal_year": "int",
+            "revenue_musd": "float",
+            "revenue_growth_pct": "float",
+            "ceo_changed": "bool",
+            "sentiment": "string",
+            "name": "string",  # generic tokens alone: matches no label
+        },
+    }
+
+    def extract(self, schema, text, quality, seed):
+        sections = {"schema": json.dumps(schema), "document": text}
+        return run_extract_properties(sections, Noise(quality, random.Random(seed)))
+
+    def test_byte_identical_json_on_both_schemas(self, indexed_context, monkeypatch):
+        texts = {
+            name: [d.text_representation() for d in indexed_context.catalog.get(name).all_documents()]
+            for name in self.SCHEMAS
+        }
+        assert [len(t) for t in texts.values()] == [30, 24]
+        cases = [
+            (schema, text, quality, seed)
+            for name, schema in self.SCHEMAS.items()
+            for other in self.SCHEMAS  # each schema on its own documents and on the other's
+            for seed, text in enumerate(texts[other])
+            for quality in (1.0, 0.7)
+        ]
+        produced = [self.extract(*case) for case in cases]
+        # extract_field looks the matcher up in its module at call time.
+        monkeypatch.setattr(common, "find_labeled_value", reference_find_labeled_value)
+        assert produced == [self.extract(*case) for case in cases]
+        values = [v for out in produced for v in json.loads(out).values()]
+        assert sum(v is not None for v in values) > len(values) // 3
+
+    def test_one_parse_per_call(self, monkeypatch):
+        calls = []
+        real = common.label_lines
+        monkeypatch.setattr(common, "label_lines", lambda text: calls.append(text) or real(text))
+        out = self.extract(self.SCHEMAS["ntsb"], NTSB_DOC, 1.0, 0)
+        assert len(calls) == 1
+        assert json.loads(out)["state"] == "AK"
+
+    def test_a_lone_field_still_parses_for_itself(self):
+        assert find_labeled_value("aircraft_damage", NTSB_DOC) == "substantial"
+        assert find_labeled_value("aircraft_damage", NTSB_DOC, labels=[]) is None
+        assert extract_field("aircraft", "string", NTSB_DOC, common.label_tokens(NTSB_DOC)) == "Cessna 172"
 
 
 class TestFilterSkill:

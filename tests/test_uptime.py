@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.docmodel import Document
 from repro.embedding import HashingEmbedder
-from repro.embedding.embedder import RECENT_EMBEDDINGS
+from repro.embedding.embedder import RECENT_EMBEDDINGS, RECENT_SLOTS
 from repro.llm import CostTracker, ReliableLLM, SimulatedLLM, knowledge, prompts, tokens
 from repro.llm.base import Usage, get_model_spec
 from repro.llm.cost import RECENT_RECORDS, CostSummary
@@ -235,6 +235,17 @@ class TestEmbedderMemory:
         cold = HashingEmbedder(dimensions=32, seed=3)
         assert np.array_equal(again, cold.embed("report 0 about topic t0"))
         assert np.array_equal(first, cold.embed(query))
+
+    def test_fifty_thousand_distinct_tokens_keep_the_slot_memo_at_its_cap(self):
+        embedder = HashingEmbedder(dimensions=32, seed=3)
+        cold = HashingEmbedder(dimensions=32, seed=3)
+        for start in range(0, 50_000, 500):
+            embedder.embed(" ".join(f"tok{i}" for i in range(start, start + 500)))
+            assert embedder._slot.cache_info().currsize <= RECENT_SLOTS
+        assert embedder._slot.cache_info().currsize == RECENT_SLOTS
+        # A token long evicted hashes to the slot it always had.
+        assert embedder._slot("tok0") == cold._slot("tok0")
+        assert np.array_equal(embedder.embed("tok0 tok1 tok0"), cold.embed("tok0 tok1 tok0"))
 
     def test_embedders_do_not_share_a_window(self):
         a, b = HashingEmbedder(dimensions=16, seed=0), HashingEmbedder(dimensions=16, seed=1)
