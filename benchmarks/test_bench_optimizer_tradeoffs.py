@@ -19,10 +19,10 @@ from repro.luna import (
     LogicalPlan,
     Luna,
     LunaExecutor,
-    LunaOptimizer,
     OptimizerPolicy,
     QUALITY_POLICY,
 )
+from repro.optimizer import CostBasedOptimizer
 
 QUESTIONS = [
     ("How many incidents were caused by icing?", "count"),
@@ -120,7 +120,7 @@ def test_bench_pushdown_ablation(benchmark, bench_context):
 
     def llm_calls_for(policy):
         bench_context.llm.clear_cache()
-        plan, _ = LunaOptimizer(policy).optimize(
+        plan, _, _ = CostBasedOptimizer(policy).optimize_with_report(
             LogicalPlan.from_json(FILTER_PLAN),
             bench_context.catalog.get("ntsb").schema,
         )
@@ -163,7 +163,7 @@ def test_bench_string_substitution_ablation(benchmark, bench_context):
     schema = bench_context.catalog.get("ntsb").schema
 
     bench_context.llm.clear_cache()
-    plan, log = LunaOptimizer(BALANCED_POLICY).optimize(
+    plan, log, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
         LogicalPlan.from_json(SUBSTITUTION_PLAN), schema
     )
     before = bench_context.cost_tracker.summary().calls
@@ -180,7 +180,7 @@ def test_bench_string_substitution_ablation(benchmark, bench_context):
         enable_string_substitution=False,
     )
     bench_context.llm.clear_cache()
-    plan2, _ = LunaOptimizer(no_sub_policy).optimize(
+    plan2, _, _ = CostBasedOptimizer(no_sub_policy).optimize_with_report(
         LogicalPlan.from_json(SUBSTITUTION_PLAN), schema
     )
     before = bench_context.cost_tracker.summary().calls

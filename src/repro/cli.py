@@ -732,10 +732,8 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
         result = luna.query(args.question, index=args.dataset)
         if args.repeat > 1:
             print(f"\n=== run {run + 1}/{args.repeat} ===")
-        report = result.trace.optimizer_report
-        if report is not None:
-            print()
-            print(report.render())
+        print()
+        print(result.trace.optimizer_report.render())
         print("\noptimized plan:")
         print(result.optimized_plan.to_natural_language())
         print(f"\nanswer: {result.answer}")

@@ -85,10 +85,6 @@ class ExecutionStats:
     nodes: Dict[str, NodeStats] = field(default_factory=dict)
     #: Records dropped under a ``dead_letter`` policy, in failure order.
     dead_letters: List[DeadLetter] = field(default_factory=list)
-    #: Delta of the shared request scheduler's counters over this
-    #: execution (submitted, completed, dedup hits, batches, ...) when
-    #: the executor runs against a :class:`repro.runtime.RequestScheduler`.
-    scheduler: Optional[Dict[str, Any]] = None
     #: Set by a traced executor when the execution ends: rolls its spans up.
     roll_up: Optional[Callable[[], CostAccount]] = field(
         default=None, init=False, repr=False, compare=False
@@ -142,18 +138,11 @@ class Executor:
     batch_size:
         Records pulled per scheduling round in parallel mode; bounds
         memory while keeping workers busy.
-    scheduler:
-        Optional :class:`repro.runtime.RequestScheduler` the plan's LLM
-        call sites submit through. The executor does not dispatch through
-        it directly — transforms hold their own scheduled clients — but
-        snapshots its counters around each execution so
-        :class:`ExecutionStats` reports the plan's share of queue
-        traffic, batching and dedup savings.
     tracer:
         Optional :class:`~repro.observability.Tracer`. An execution
         with per-record nodes gets a ``plan`` span with one ``transform``
         span for each (inline filters excepted); a plan of sources and
-        barriers alone opens no span and reports no scheduler delta.
+        barriers alone opens no span.
         Task functions run *under* their node's transform span
         (attached per call; parallel submissions each carry their own
         copied :mod:`contextvars` context), so any LLM request spans
@@ -172,7 +161,6 @@ class Executor:
         lineage: Optional[Lineage] = None,
         batch_size: int = 32,
         on_error: str = "retry",
-        scheduler: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -189,7 +177,6 @@ class Executor:
         self.lineage = lineage
         self.batch_size = batch_size
         self.on_error = on_error
-        self.scheduler = scheduler
         self.tracer = tracer
         self.registry = registry if registry is not None else get_registry()
         reg = self.registry
@@ -209,22 +196,16 @@ class Executor:
         stats = ExecutionStats()
         self.last_stats = stats
         self._m_executions.inc()
-        if not any(_spanned(node) for node in plan.nodes()):
+        if self.tracer is None or not any(_spanned(node) for node in plan.nodes()):
             # Sources, barriers and inline filters: no transform span for
             # a plan span to parent, no LLM traffic to attribute.
             return self._run_node(plan.node, stats)
-        if self.tracer is not None:
-            plan_span = self.tracer.start_span(
-                f"execute:{plan.node.name}", kind="plan", root=plan.node.name
-            )
-            with self.tracer.attach(plan_span):
-                iterator = self._run_node(plan.node, stats)
-            iterator = self._finish_plan_span(iterator, plan_span, stats)
-        else:
+        plan_span = self.tracer.start_span(
+            f"execute:{plan.node.name}", kind="plan", root=plan.node.name
+        )
+        with self.tracer.attach(plan_span):
             iterator = self._run_node(plan.node, stats)
-        if self.scheduler is None:
-            return iterator
-        return self._track_scheduler(iterator, stats, self.scheduler.metrics())
+        return self._finish_plan_span(iterator, plan_span, stats)
 
     def _finish_plan_span(
         self, iterator: Iterator[Any], span: Span, stats: ExecutionStats
@@ -263,20 +244,6 @@ class Executor:
                 keep.add(span.span_id)
                 selected.append(span)
         return selected
-
-    def _track_scheduler(
-        self, iterator: Iterator[Any], stats: ExecutionStats, before: Dict[str, Any]
-    ) -> Iterator[Any]:
-        """Attribute the scheduler-counter delta of this run to its stats."""
-        try:
-            yield from iterator
-        finally:
-            after = self.scheduler.metrics()
-            stats.scheduler = {
-                key: round(after[key] - before[key], 6)
-                for key in before
-                if isinstance(before[key], (int, float))
-            }
 
     def take_all(self, plan: Plan) -> List[Any]:
         """Execute and collect every output record."""

@@ -766,12 +766,6 @@ class Gateway:
     def _route_trace(self, ctx: RequestContext, ref: str) -> Response:
         ticket = self.ticket(ref)
         ctx.query_id = ticket.query_id
-        tracer = self.service.tracer
-        if tracer is None:
-            return Response(
-                status=404,
-                payload={"error": "not_found", "message": "tracing disabled"},
-            )
         if not ticket.done():
             return Response(
                 status=409,
@@ -790,7 +784,7 @@ class Gateway:
                 f"({failure.get('error', 'error')})"
             )
             return Response(status=404, payload=failure)
-        spans = tracer.trace_spans(served.serve_trace_id)
+        spans = self.service.tracer.trace_spans(served.serve_trace_id)
         if not spans:
             return Response(
                 status=404,

@@ -19,7 +19,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..lifecycle.deadline import check_scope, remaining_budget
 from ..observability.metrics import MetricsRegistry, get_registry
@@ -44,24 +44,33 @@ def repair_json(text: str) -> Any:
     trailing commas; and closing unbalanced brackets/braces on truncated
     output. Raises :class:`MalformedOutputError` when nothing works.
     """
-    candidates = [text]
+    for candidate in _repair_candidates(text):
+        try:
+            return json.loads(candidate)
+        except (json.JSONDecodeError, ValueError):
+            continue
+    raise MalformedOutputError("could not parse output as JSON", raw_output=text)
+
+
+def _repair_candidates(text: str) -> Iterator[str]:
+    """The strings worth parsing, in the order above and built on demand:
+    well-formed output (nearly all of it) parses before any repair runs."""
+
+    def with_and_without_trailing_commas(span: str) -> Iterator[str]:
+        yield span
+        yield re.sub(r",\s*([}\]])", r"\1", span)
+
+    yield from with_and_without_trailing_commas(text)
     fenced = re.search(r"```(?:json)?\s*(.*?)```", text, re.DOTALL)
     if fenced:
-        candidates.append(fenced.group(1))
+        yield from with_and_without_trailing_commas(fenced.group(1))
     for opener, closer in (("{", "}"), ("[", "]")):
         start = text.find(opener)
         end = text.rfind(closer)
         if start != -1 and end > start:
-            candidates.append(text[start : end + 1])
+            yield from with_and_without_trailing_commas(text[start : end + 1])
         if start != -1:
-            candidates.append(_close_brackets(text[start:]))
-    for candidate in candidates:
-        for attempt in (candidate, re.sub(r",\s*([}\]])", r"\1", candidate)):
-            try:
-                return json.loads(attempt)
-            except (json.JSONDecodeError, ValueError):
-                continue
-    raise MalformedOutputError("could not parse output as JSON", raw_output=text)
+            yield from with_and_without_trailing_commas(_close_brackets(text[start:]))
 
 
 def _close_brackets(fragment: str) -> str:

@@ -31,10 +31,9 @@ from .operators import (
     PlanNode,
     PlanValidationError,
 )
-from .optimizer import (
+from ..optimizer import (
     BALANCED_POLICY,
     COST_POLICY,
-    LunaOptimizer,
     OptimizerPolicy,
     POLICIES,
     QUALITY_POLICY,
@@ -49,7 +48,6 @@ __all__ = [
     "LogicalPlan",
     "Luna",
     "LunaExecutor",
-    "LunaOptimizer",
     "LunaPlanner",
     "LunaResult",
     "HistoryEntry",

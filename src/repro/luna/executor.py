@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..docmodel.document import Document
 from ..lifecycle.deadline import QueryCancelled, check_scope
 from ..observability.cost import CostAccount
+from ..optimizer.report import OptimizerReport
 from ..runtime import Priority
 from ..sycamore.context import SycamoreContext
 from ..sycamore.docset import DocSet
@@ -102,11 +103,10 @@ class ExecutionTrace:
     #: checkpoint — the counters the chaos-recovery gate asserts on.
     nodes_executed: int = 0
     nodes_replayed: int = 0
-    #: Cost-based optimizer audit (estimated vs actual, rewrites applied)
-    #: when the query ran through :class:`repro.optimizer.CostBasedOptimizer`;
-    #: rendered by the ``plan-explain`` CLI verb. Typed ``Any`` to keep
-    #: the luna -> optimizer import one-way (optimizer imports operators).
-    optimizer_report: Optional[Any] = None
+    #: The optimizer's audit (estimated vs actual, rewrites applied) of
+    #: the plan this trace ran, rendered by the ``plan-explain`` CLI verb;
+    #: None on a resumed query, which replays an already-optimized plan.
+    optimizer_report: Optional[OptimizerReport] = None
 
     def render(self) -> str:
         """Render a human-readable text view."""

@@ -18,11 +18,11 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.plancheck import ensure_valid_plan
 from ..lifecycle.journal import JournalError, QueryJournal, plan_json_fingerprint
+from ..optimizer import BALANCED_POLICY, CostBasedOptimizer, OptimizerPolicy, StatsStore
 from ..sycamore.context import SycamoreContext
 from .codegen import generate_code
 from .executor import ExecutionTrace, LunaExecutor
 from .operators import LogicalPlan, PlanNode
-from .optimizer import BALANCED_POLICY, LunaOptimizer, OptimizerPolicy, POLICIES
 from .history import QueryHistory
 from .planner import LunaPlanner
 
@@ -85,8 +85,9 @@ class LunaResult:
 class Luna:
     """LLM-powered unstructured analytics over a Sycamore context.
 
-    ``policy`` selects the optimizer's cost/quality point ("quality",
-    "balanced", or "cost" — or a custom :class:`OptimizerPolicy`).
+    ``policy`` selects the optimizer's cost/quality point (a name in
+    :data:`~repro.optimizer.POLICIES`: "quality", "balanced", "cost",
+    "cascade" — or a custom :class:`OptimizerPolicy`).
 
     ``error_policy`` selects failure containment at query time: ``fail``
     aborts on any operator failure; ``skip`` / ``dead_letter`` contain
@@ -101,8 +102,8 @@ class Luna:
         policy: "OptimizerPolicy | str" = BALANCED_POLICY,
         error_policy: str = "fail",
         journal: Optional[QueryJournal] = None,
-        stats_store: Optional[Any] = None,
-        optimizer: Optional[Any] = None,
+        stats_store: Optional[StatsStore] = None,
+        optimizer: Optional[CostBasedOptimizer] = None,
     ):
         self.context = context
         # Optional write-ahead journal: queries submitted with a
@@ -115,13 +116,6 @@ class Luna:
         self.planner = LunaPlanner(
             context.llm_for("interactive"), model=planner_model
         )
-        if isinstance(policy, str):
-            try:
-                policy = POLICIES[policy]
-            except KeyError:
-                raise ValueError(
-                    f"unknown policy {policy!r}; known: {sorted(POLICIES)}"
-                ) from None
         # Optional adaptive-statistics loop (repro.optimizer): a live
         # StatsStore both informs the cost-based rewrites and accumulates
         # each execution's observed selectivity/$-per-row figures. The
@@ -129,13 +123,7 @@ class Luna:
         # *frozen* snapshot (cache-key stability) and keeps ``stats_store``
         # live so observations still land.
         self.stats_store = stats_store
-        if optimizer is not None:
-            self.optimizer = optimizer
-        else:
-            # Local import: repro.optimizer imports from this package.
-            from ..optimizer import CostBasedOptimizer
-
-            self.optimizer = CostBasedOptimizer(policy, stats=stats_store)
+        self.optimizer = optimizer or CostBasedOptimizer(policy, stats=stats_store)
         self.executor = LunaExecutor(context, error_policy=error_policy)
         self.history = QueryHistory()
 
@@ -248,7 +236,11 @@ class Luna:
         # ``serve`` root span.
         with tracer.span("query:luna", kind="query", question=question, index=index) as query_span:
             with tracer.span("plan:optimize", kind="plan"):
-                optimized, log, report = self._optimize(plan, named_index)
+                optimized, log, report = self.optimizer.optimize_with_report(
+                    plan,
+                    schema=named_index.schema,
+                    source_rows=float(len(named_index)),
+                )
             if self.journal is not None and query_id:
                 self.journal.begin(
                     query_id,
@@ -260,10 +252,9 @@ class Luna:
             result = self._run(question, index, plan, optimized, log, query_id)
         trace = result.trace
         self._close_trace(trace, query_span)
-        if report is not None:
-            report.record_actuals(trace)
-            trace.optimizer_report = report
-        if self.stats_store is not None and hasattr(self.stats_store, "observe"):
+        report.record_actuals(trace)
+        trace.optimizer_report = report
+        if self.stats_store is not None:
             # Close the adaptive loop: fold this execution's observed
             # selectivity/$-per-row back into the live store.
             self.stats_store.observe(optimized, trace)
@@ -313,22 +304,6 @@ class Luna:
         )
         self.history.record(result)
         return result
-
-    def _optimize(self, plan: LogicalPlan, named_index) -> "tuple":
-        """Run the configured optimizer; returns (plan, log, report|None).
-
-        A :class:`~repro.optimizer.CostBasedOptimizer` also produces the
-        :class:`~repro.optimizer.OptimizerReport` attached to the trace;
-        a plain :class:`LunaOptimizer` yields no report.
-        """
-        if hasattr(self.optimizer, "optimize_with_report"):
-            return self.optimizer.optimize_with_report(
-                plan,
-                schema=named_index.schema,
-                source_rows=float(len(named_index)),
-            )
-        optimized, log = self.optimizer.optimize(plan, schema=named_index.schema)
-        return optimized, log, None
 
     # ------------------------------------------------------------------
     # Crash recovery

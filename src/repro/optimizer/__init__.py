@@ -19,7 +19,16 @@ from .costmodel import (
     PlanEstimate,
 )
 from .report import OptimizerReport
-from .rewriter import DEFAULT_SOURCE_ROWS, SCAN_FILTER_OPS, CostBasedOptimizer
+from .rewriter import (
+    BALANCED_POLICY,
+    CASCADE_POLICY,
+    COST_POLICY,
+    DEFAULT_SOURCE_ROWS,
+    POLICIES,
+    QUALITY_POLICY,
+    CostBasedOptimizer,
+    OptimizerPolicy,
+)
 from .stats import (
     OBSERVED_OPERATIONS,
     OperatorStats,
@@ -30,16 +39,21 @@ from .stats import (
 )
 
 __all__ = [
+    "BALANCED_POLICY",
+    "CASCADE_POLICY",
+    "COST_POLICY",
     "DEFAULT_SOURCE_ROWS",
     "ESCALATION_PRIOR",
     "OBSERVED_OPERATIONS",
-    "SCAN_FILTER_OPS",
+    "POLICIES",
+    "QUALITY_POLICY",
     "SELECTIVITY_PRIORS",
     "TOKEN_PROFILES",
     "CostBasedOptimizer",
     "CostModel",
     "NodeEstimate",
     "OperatorStats",
+    "OptimizerPolicy",
     "OptimizerReport",
     "PlanEstimate",
     "StatsSnapshot",

@@ -11,8 +11,8 @@ Invariants call sites must preserve:
 * **Dedup-key alignment.** The in-flight dedup key is the byte-exact
   ``(model, prompt, max_output_tokens)`` triple at temperature 0, and
   ``ReliableLLM``'s response cache keys on the same bytes. Transform
-  factories therefore build prompts via the hoisted prefix cache
-  (:func:`repro.llm.prompts.append_section`) so identical logical
+  factories therefore render the static prefix once and append the
+  document (:func:`repro.llm.prompts.append_section`) so identical logical
   requests produce identical prompt bytes — any formatting drift
   (whitespace, key ordering, f-string variation) silently defeats both
   dedup and caching without breaking correctness.

@@ -46,7 +46,8 @@ from ..luna.luna import Luna, LunaResult
 from ..luna.operators import LogicalPlan
 from ..observability.cost import CostAccount
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import Span, Tracer
+from ..observability.tracing import Tracer
+from ..optimizer import CostBasedOptimizer, StatsStore
 from ..sycamore.context import SycamoreContext
 from .cache import (
     COALESCED,
@@ -338,7 +339,7 @@ class QueryService:
     ):
         self.context = context
         self.config = config or ServiceConfig()
-        self.tracer: Optional[Tracer] = getattr(context, "tracer", None)
+        self.tracer: Tracer = context.tracer
         self.registry = registry if registry is not None else context.registry
         self.plan_cache = SingleFlightCache(self.config.plan_cache_size)
         self.result_cache = SingleFlightCache(self.config.result_cache_size)
@@ -379,8 +380,6 @@ class QueryService:
         # questions within an epoch optimize identically, so the epoch's
         # fingerprint can key the plan/result caches without destroying
         # hit rates. ``refresh_optimizer`` rolls the epoch.
-        from ..optimizer import StatsStore
-
         self.stats_store = StatsStore(
             path=self.config.optimizer_stats_path, registry=self.registry
         )
@@ -599,8 +598,6 @@ class QueryService:
         """
         with self._optimizer_lock:
             if self._epoch_luna is None:
-                from ..optimizer import CostBasedOptimizer
-
                 self._epoch_luna = Luna(
                     self.context,
                     planner_model=self.config.planner_model,
@@ -676,33 +673,24 @@ class QueryService:
             self._fail_deadline(ticket, exc)
             return
         tracer = self.tracer
-        serve_span: Optional[Span] = None
-        if tracer is not None:
-            serve_span = tracer.start_span(
-                "serve:query",
-                kind="serve",
-                parent=None,
-                tenant=ticket.tenant,
-                session=ticket.session_id or "",
-                question=ticket.question,
-                index=ticket.index,
-                query_id=ticket.query_id,
-                request_id=ticket.request_id,
-            )
+        serve_span = tracer.start_span(
+            "serve:query",
+            kind="serve",
+            parent=None,
+            tenant=ticket.tenant,
+            session=ticket.session_id or "",
+            question=ticket.question,
+            index=ticket.index,
+            query_id=ticket.query_id,
+            request_id=ticket.request_id,
+        )
         try:
-            with attach_scope(scope):
-                if tracer is not None and serve_span is not None:
-                    with tracer.attach(serve_span):
-                        served = self._serve(ticket, serve_span, started)
-                else:
-                    served = self._serve(ticket, None, started)
+            with attach_scope(scope), tracer.attach(serve_span):
+                served = self._serve(ticket, started)
         except BaseException as exc:  # noqa: BLE001 - fail the ticket, not the worker
-            if tracer is not None and serve_span is not None:
-                tracer.finish(
-                    serve_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            tracer.finish(
+                serve_span, status="error", error=f"{type(exc).__name__}: {exc}"
+            )
             if isinstance(exc, QueryCancelled):
                 self._m_cancelled.inc()
                 ticket._emit("cancelled", reason=scope.cancel_reason)
@@ -727,15 +715,14 @@ class QueryService:
                 "deadline_degraded",
                 budget_s=scope.deadline.budget_s if scope.deadline else 0.0,
             )
-        if tracer is not None and serve_span is not None:
-            serve_span.set_attributes(
-                plan_cache=served.plan_cache,
-                result_cache=served.result_cache,
-                cost_usd=served.cost_usd,
-                saved_usd=served.saved_usd,
-            )
-            tracer.finish(serve_span)
-            served.serve_trace_id = serve_span.trace_id
+        serve_span.set_attributes(
+            plan_cache=served.plan_cache,
+            result_cache=served.result_cache,
+            cost_usd=served.cost_usd,
+            saved_usd=served.saved_usd,
+        )
+        tracer.finish(serve_span)
+        served.serve_trace_id = serve_span.trace_id
         with self._accounts_lock:
             self.tenant(ticket.tenant).completed += 1
         self._m_completed.inc()
@@ -783,9 +770,7 @@ class QueryService:
 
     # ------------------------------------------------------------------
 
-    def _serve(
-        self, ticket: QueryTicket, serve_span: Optional[Span], started: float
-    ) -> ServedResult:
+    def _serve(self, ticket: QueryTicket, started: float) -> ServedResult:
         luna = self._luna()
         catalog = self.context.catalog
         index_obj = catalog.get(ticket.index)
@@ -877,9 +862,6 @@ class QueryService:
         def compute_plan() -> _PlanEntry:
             self._m_plans_computed.inc()
             tracer = self.tracer
-            if tracer is None:
-                plan = plan_checked()
-                return _PlanEntry(plan_json=plan.to_json(), cost_usd=0.0, llm_calls=0)
             # Planning runs in its own trace: with single-flight, one
             # planner run serves many queries, so its spans can't belong
             # to any single query's trace. The serve span links to it.

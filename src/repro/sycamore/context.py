@@ -153,7 +153,6 @@ class SycamoreContext:
             max_task_retries=self.max_task_retries,
             lineage=self.lineage,
             on_error=on_error or self.on_error,
-            scheduler=self.scheduler,
             tracer=self.tracer,
             registry=self.registry,
         )

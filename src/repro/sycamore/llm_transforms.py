@@ -14,15 +14,13 @@ the shared scheduler at the factory's priority class (BULK for ETL by
 default; Luna's query operators pass INTERACTIVE).
 
 The static part of each prompt (instructions, schema, condition, ...) is
-identical for every document, so factories render it once through a
-process-wide prefix cache and append only the document section per call;
-:func:`prompt_prefix_cache_info` reports the hit/miss counters.
+identical for every document, so a factory renders it once and appends
+only the document section per call.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..docmodel.document import Document
@@ -38,56 +36,6 @@ from ..llm.prompts import (
 )
 from ..runtime import Priority
 from .context import SycamoreContext
-
-
-class _PromptPrefixCache:
-    """Memoizes the static prefix of per-document prompts.
-
-    Luna builds a fresh transform factory per plan node and ETL scripts
-    rebuild pipelines per corpus; this cache makes the static prompt text
-    a one-time cost per distinct (task, static sections) pair instead of
-    a per-factory (previously per-document) one.
-    """
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], str] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def render_prefix(self, task: str, sections: Dict[str, str]) -> str:
-        """The rendered prompt up to (excluding) the document section."""
-        key = (task, tuple(sections.items()))
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        prefix = render_task_prompt(task, sections)
-        with self._lock:
-            if len(self._entries) >= self.max_entries:
-                self._entries.clear()  # tiny corpus of prefixes; full reset is fine
-            self._entries[key] = prefix
-        return prefix
-
-    def info(self) -> Dict[str, int]:
-        """Counters: hits, misses, current size."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._entries),
-            }
-
-
-PROMPT_PREFIX_CACHE = _PromptPrefixCache()
-
-
-def prompt_prefix_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the shared prompt-prefix cache."""
-    return PROMPT_PREFIX_CACHE.info()
 
 
 def _document_text(document: Document, num_elements: Optional[int]) -> str:
@@ -111,7 +59,7 @@ def _document_text(document: Document, num_elements: Optional[int]) -> str:
 def _template_prefix(template: PromptTemplate, **static: str) -> str:
     sections = {"instructions": template.instructions}
     sections.update(static)
-    return PROMPT_PREFIX_CACHE.render_prefix(template.task, sections)
+    return render_task_prompt(template.task, sections)
 
 
 def make_extract_properties_fn(
@@ -172,9 +120,7 @@ def make_llm_query_fn(
         static_prefix = (
             None
             if has_placeholders
-            else PROMPT_PREFIX_CACHE.render_prefix(
-                "llm_query", {"instructions": prompt}
-            )
+            else render_task_prompt("llm_query", {"instructions": prompt})
         )
 
     def query(document: Document) -> Document:

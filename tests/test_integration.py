@@ -244,19 +244,21 @@ class TestProvenanceAndDiff:
         from repro.luna import (
             BALANCED_POLICY,
             LogicalPlan,
-            LunaOptimizer,
             diff_plans,
         )
+        from repro.optimizer import CostBasedOptimizer
 
+        # A retrieval scan, so the substituted filter stays a node of its
+        # own instead of folding into the scan.
         plan = LogicalPlan.from_json(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i", "query": "weather"},
                 {"operation": "LlmFilter", "inputs": [0],
                  "condition": "weather related incidents"},
                 {"operation": "Count", "inputs": [1]},
             ]
         )
-        optimized, _ = LunaOptimizer(BALANCED_POLICY).optimize(
+        optimized, _, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
             plan, {"weather_related": "bool"}
         )
         changes = diff_plans(plan, optimized)

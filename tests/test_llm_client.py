@@ -155,6 +155,16 @@ class TestRepairJson:
     def test_unterminated_fence(self):
         assert repair_json('```json\n{"a": "x"}') == {"a": "x"}
 
+    def test_valid_json_runs_no_repair(self, monkeypatch):
+        from repro.llm import client
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a repair ran on well-formed JSON")
+
+        monkeypatch.setattr(client, "_close_brackets", unreachable)
+        plan = '[{"operation": "QueryIndex", "inputs": [], "index": "ntsb"}, {"a": [1, {"b": "}"}]}]'
+        assert repair_json(plan) == json.loads(plan)
+
 
 class TestCompleteJson:
     def test_retries_malformed_output(self):

@@ -12,7 +12,6 @@ from repro.luna import (
     LogicalPlan,
     Luna,
     LunaExecutor,
-    LunaOptimizer,
     LunaPlanner,
     MathEvaluationError,
     PlanExecutionError,
@@ -23,11 +22,17 @@ from repro.luna import (
     generate_code,
     referenced_nodes,
 )
+from repro.optimizer import CostBasedOptimizer
 from repro.sycamore import SycamoreContext
 
 
 def plan_from(nodes):
     return LogicalPlan.from_json(nodes)
+
+
+def optimize(policy, plan, schema):
+    optimized, log, _ = CostBasedOptimizer(policy).optimize_with_report(plan, schema)
+    return optimized, log
 
 
 SIMPLE_PLAN = [
@@ -353,23 +358,25 @@ class TestOptimizer:
                 "ceo_changed": "bool"}
 
     def test_pushdown_moves_basic_before_llm(self):
+        # A retrieval scan: the scan-filter fold would otherwise absorb
+        # the structured filter this test looks for.
         plan = plan_from(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i", "query": "windy"},
                 {"operation": "LlmFilter", "inputs": [0], "condition": "windy"},
                 {"operation": "BasicFilter", "inputs": [1], "field": "year",
                  "op": "eq", "value": 2023},
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, log = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, log = optimize(BALANCED_POLICY, plan, self._schema())
         assert optimized.nodes[1].operation == "BasicFilter"
         assert optimized.nodes[2].operation == "LlmFilter"
         # The chain wiring must be preserved: each stage reads the previous.
         assert optimized.nodes[1].inputs == [0]
         assert optimized.nodes[2].inputs == [1]
         assert optimized.nodes[3].inputs == [2]
-        assert any("pushdown" in line for line in log)
+        assert any(line.startswith("reorder:") for line in log)
         optimized.validate()
 
     def test_pushdown_preserves_count_result(self, small_ctx):
@@ -382,9 +389,7 @@ class TestOptimizer:
             {"operation": "Count", "inputs": [2]},
         ]
         raw_answer, _ = LunaExecutor(small_ctx).execute(plan_from(nodes))
-        optimized, _ = LunaOptimizer(QUALITY_POLICY).optimize(
-            plan_from(nodes), {"year": "int"}
-        )
+        optimized, _ = optimize(QUALITY_POLICY, plan_from(nodes), {"year": "int"})
         # quality policy re-models the filter; force oracle for equality
         for node in optimized.nodes:
             if node.operation == "LlmFilter":
@@ -395,13 +400,13 @@ class TestOptimizer:
     def test_string_match_substitution(self):
         plan = plan_from(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i", "query": "weather"},
                 {"operation": "LlmFilter", "inputs": [0],
                  "condition": "weather related incidents"},
                 {"operation": "Count", "inputs": [1]},
             ]
         )
-        optimized, log = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, log = optimize(BALANCED_POLICY, plan, self._schema())
         assert optimized.nodes[1].operation == "BasicFilter"
         assert optimized.nodes[1].params == {"field": "weather_related", "op": "eq", "value": True}
         assert any("string-match" in line for line in log)
@@ -413,7 +418,7 @@ class TestOptimizer:
                 {"operation": "LlmFilter", "inputs": [0], "condition": "caused by wind"},
             ]
         )
-        optimized, _ = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, _ = optimize(BALANCED_POLICY, plan, self._schema())
         assert optimized.nodes[1].operation == "LlmFilter"
 
     def test_fusion_merges_adjacent_llm_filters(self):
@@ -425,7 +430,7 @@ class TestOptimizer:
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, log = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, log = optimize(COST_POLICY, plan, {})
         assert optimized.nodes[1].params["condition"] == "about wind and during landing"
         assert optimized.nodes[2].operation == "Identity"
         assert any("fusion" in line for line in log)
@@ -442,18 +447,18 @@ class TestOptimizer:
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, _ = optimize(COST_POLICY, plan, {})
         assert optimized.nodes[2].operation == "LlmFilter"
 
     def test_model_selection_per_policy(self):
         plan = plan_from(SIMPLE_PLAN)
         for policy, expected in ((QUALITY_POLICY, "sim-large"), (COST_POLICY, "sim-small")):
-            optimized, _ = LunaOptimizer(policy).optimize(plan, {})
+            optimized, _ = optimize(policy, plan, {})
             assert optimized.nodes[1].params["model"] == expected
 
     def test_original_plan_not_mutated(self):
         plan = plan_from(SIMPLE_PLAN)
-        LunaOptimizer(BALANCED_POLICY).optimize(plan, {})
+        optimize(BALANCED_POLICY, plan, {})
         assert "model" not in plan.nodes[1].params
 
 
@@ -615,9 +620,9 @@ class TestGeneratedCodeRuns:
     def test_every_operator_is_covered(self, indexed_context):
         used = {"FromDocuments"}  # the follow-up test above
         for policy, nodes in SCRIPT_PLANS.values():
-            optimized = Luna(indexed_context, policy=policy).optimizer.optimize(
-                plan_from(nodes), schema=indexed_context.catalog.get("ntsb").schema
-            )[0]
+            optimized, _ = optimize(
+                policy, plan_from(nodes), indexed_context.catalog.get("ntsb").schema
+            )
             used.update(node.operation for node in optimized.nodes)
         assert used == set(OPERATOR_SPECS)
 

@@ -9,9 +9,9 @@ from repro.luna import (
     LogicalPlan,
     Luna,
     LunaExecutor,
-    LunaOptimizer,
     generate_code,
 )
+from repro.optimizer import CostBasedOptimizer
 from repro.sycamore import SycamoreContext
 
 
@@ -118,7 +118,7 @@ class TestOptimizerChains:
                 {"operation": "Count", "inputs": [3]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, _, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(plan, {})
         conditions = [
             n.params.get("condition")
             for n in optimized.nodes
@@ -139,7 +139,9 @@ class TestOptimizerChains:
                 {"operation": "Count", "inputs": [3]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {"a": "int", "b": "int"})
+        # No catalog schema: with one, the scan-filter fold would absorb
+        # the leading structured filter this test looks for.
+        optimized, _, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(plan, {})
         operations = [n.operation for n in optimized.nodes[1:4]]
         assert operations == ["BasicFilter", "BasicFilter", "LlmFilter"]
         # Relative order of the two structured filters is preserved.

@@ -320,6 +320,44 @@ class TestRepairProperties:
                     if isinstance(obj[key], str) and isinstance(value, str):
                         assert obj[key].startswith(value) or obj[key] == value
 
+    @given(
+        json_values,
+        st.integers(0, 100),
+        st.sampled_from(["{}", "```json\n{}\n```", "Sure: {} ok?", "```\n{}", "{},", "[{},]"]),
+    )
+    def test_lazy_candidates_repair_like_the_eager_list(self, value, cut_percent, frame):
+        """``repair_json`` used to build every candidate before parsing any."""
+        import re
+        from repro.llm.client import _close_brackets
+
+        def eager(text):
+            candidates = [text]
+            fenced = re.search(r"```(?:json)?\s*(.*?)```", text, re.DOTALL)
+            if fenced:
+                candidates.append(fenced.group(1))
+            for opener, closer in (("{", "}"), ("[", "]")):
+                start = text.find(opener)
+                end = text.rfind(closer)
+                if start != -1 and end > start:
+                    candidates.append(text[start : end + 1])
+                if start != -1:
+                    candidates.append(_close_brackets(text[start:]))
+            for candidate in candidates:
+                for attempt in (candidate, re.sub(r",\s*([}\]])", r"\1", candidate)):
+                    try:
+                        return json.loads(attempt)
+                    except (json.JSONDecodeError, ValueError):
+                        continue
+            return MalformedOutputError
+
+        serialized = json.dumps(value)
+        text = frame.replace("{}", serialized[: len(serialized) * cut_percent // 100])
+        try:
+            repaired = repair_json(text)
+        except MalformedOutputError:
+            repaired = MalformedOutputError
+        assert repaired == eager(text)
+
 
 # ----------------------------------------------------------------------
 # Math evaluation vs Python eval
@@ -699,13 +737,14 @@ LUNA_FIELDS = ["state", "year", "n", "tags", "meta.pages", "absent"]
 LUNA_VALUES = ["AK", "a", 2022, 3, 7.5, True, None, "three", ["wind", "landing"]]
 
 luna_fields = st.sampled_from(LUNA_FIELDS)
+basic_filter_steps = st.builds(
+    lambda f, op, v: {"operation": "BasicFilter", "field": f, "op": op, "value": v},
+    luna_fields,
+    st.sampled_from(sorted(aggregates.COMPARATORS)),
+    st.sampled_from(LUNA_VALUES),
+)
 record_steps = st.one_of(
-    st.builds(
-        lambda f, op, v: {"operation": "BasicFilter", "field": f, "op": op, "value": v},
-        luna_fields,
-        st.sampled_from(sorted(aggregates.COMPARATORS)),
-        st.sampled_from(LUNA_VALUES),
-    ),
+    basic_filter_steps,
     st.builds(
         lambda f, d: {"operation": "Sort", "field": f, "descending": d},
         luna_fields,
@@ -755,10 +794,12 @@ scans = st.one_of(
 
 
 @st.composite
-def luna_plans(draw):
+def luna_plans(draw, record_steps=record_steps, trunk=None):
     """A scan, a chain of record operators, then either one terminal
     (linear) or two counted branches off the chain joined by a Math node,
-    or a Join of the chain with a second scan (fan-out)."""
+    or a Join of the chain with a second scan (fan-out). ``record_steps``
+    lets a test mix its own operators into the chains, ``trunk`` (a
+    strategy for a list of steps) shape the first chain."""
     nodes = [dict(draw(scans), inputs=[])]
 
     def chain(source, steps):
@@ -767,7 +808,9 @@ def luna_plans(draw):
             source = len(nodes) - 1
         return source
 
-    trunk = chain(0, draw(st.lists(record_steps, max_size=3)))
+    if trunk is None:
+        trunk = st.lists(record_steps, max_size=3)
+    trunk = chain(0, draw(trunk))
     shape = draw(st.sampled_from(["linear", "linear", "math", "join"]))
     if shape == "linear":
         chain(trunk, draw(st.lists(terminal_steps, max_size=1)))
