@@ -784,7 +784,7 @@ class HandlerBlockingIo(Rule):
                     call,
                     f"'{receiver}.result()' without a timeout on a "
                     f"connection thread: one slow query pins one HTTP "
-                    f"connection forever; bound it (sync_timeout_s)",
+                    f"connection forever; bound it (SYNC_TIMEOUT_S)",
                 )
             elif func.attr in ("read", "readline"):
                 if call.args or call.keywords:

@@ -565,9 +565,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"\nanswer: {result.answer}")
     print(f"\ntrace {result.trace.trace_id} ({len(spans)} spans):")
     print(render_trace_tree(spans, max_spans=args.max_spans))
-    if result.trace.cost is not None:
-        print("\ncost account:")
-        print(result.trace.cost.render())
+    print("\ncost account:")
+    print(result.trace.cost.render())
     if args.json:
         path = write_trace_json(args.json, spans, result.trace.cost)
         print(f"\ntrace JSON written to {path}")

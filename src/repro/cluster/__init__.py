@@ -22,7 +22,6 @@ from .envelope import (
 )
 from .sharding import (
     Shard,
-    derive_fault_seed,
     merge_shard_outputs,
     partition_documents,
     partition_fingerprint,
@@ -52,7 +51,6 @@ __all__ = [
     "TaskEnvelope",
     "WorkerConfig",
     "build_worker_context",
-    "derive_fault_seed",
     "ensure_picklable_spec",
     "merge_shard_outputs",
     "partition_documents",

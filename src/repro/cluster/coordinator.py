@@ -54,7 +54,6 @@ from ..serving.session import Tenant, TenantQuota
 from .envelope import ShardOp, ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 from .sharding import (
     Shard,
-    derive_fault_seed,
     merge_shard_outputs,
     partition_documents,
     partition_fingerprint,
@@ -69,6 +68,10 @@ RESULT_POLL_S = 0.2
 #: terminating it.
 SHUTDOWN_GRACE_S = 2.0
 
+#: How many times one shard may be re-dispatched (worker death or shard
+#: error) before the segment fails with :class:`ClusterError`.
+MAX_SHARD_RETRIES = 2
+
 
 class ClusterError(RuntimeError):
     """A shard could not be completed within the retry budget."""
@@ -81,31 +84,25 @@ class ClusterError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Cluster sizing, placement determinism, and chaos knobs."""
+    """Cluster sizing, placement determinism, and chaos knobs.
+
+    Workers are spawned (the portable start method, which also enforces
+    the picklable-envelope discipline end to end) and run each shard's
+    plan on one thread.
+    """
 
     n_workers: int = 2
-    #: Shard count; 0 derives ``shards_per_worker * n_workers``. More
+    #: A segment splits into ``shards_per_worker * n_workers`` shards. More
     #: shards than workers gives finer retry granularity and better load
     #: balance; shard *assignment* stays a pure function of doc ids.
-    n_shards: int = 0
     shards_per_worker: int = 2
-    #: How many times one shard may be re-dispatched (worker death or
-    #: shard error) before the segment fails with :class:`ClusterError`.
-    max_shard_retries: int = 2
     #: Segments admitted (running or waiting) at once; beyond this the
     #: coordinator sheds load with a typed ``Overloaded``.
     max_inflight_segments: int = 4
-    #: multiprocessing start method. ``spawn`` is the portable default
-    #: and enforces the picklable-envelope discipline end to end.
-    start_method: str = "spawn"
     #: Worker stack configuration (see WorkerConfig for semantics).
     seed: int = 0
     default_model: str = "sim-large"
-    worker_parallelism: int = 1
     real_latency_scale: float = 0.0
-    on_error: str = "retry"
-    transient_rate: float = 0.0
-    rate_limit_rate: float = 0.0
     #: Chaos hook: poison the first attempt of this shard id so its
     #: worker dies mid-shard (proving death detection + peer retry).
     chaos_kill_shard: Optional[int] = None
@@ -115,9 +112,7 @@ class ClusterConfig:
     min_cluster_docs: int = 8
 
     def effective_shards(self) -> int:
-        """The shard count this config actually partitions into."""
-        if self.n_shards > 0:
-            return self.n_shards
+        """The shard count this config partitions into."""
         return max(1, self.n_workers * self.shards_per_worker)
 
     def worker_config(self) -> WorkerConfig:
@@ -125,11 +120,7 @@ class ClusterConfig:
         return WorkerConfig(
             seed=self.seed,
             default_model=self.default_model,
-            parallelism=self.worker_parallelism,
             real_latency_scale=self.real_latency_scale,
-            on_error=self.on_error,
-            transient_rate=self.transient_rate,
-            rate_limit_rate=self.rate_limit_rate,
         )
 
 
@@ -194,12 +185,10 @@ class ClusterCoordinator:
         self.config = config or ClusterConfig()
         if self.config.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.config.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be >= 0")
         self.tracer = tracer
         self.registry = registry if registry is not None else get_registry()
         self.journal = journal
-        self._mp = multiprocessing.get_context(self.config.start_method)
+        self._mp = multiprocessing.get_context("spawn")
         self._slots: List[_WorkerHandle] = []
         self._result_queue: Any = None
         self._generations = itertools.count()
@@ -534,7 +523,6 @@ class ClusterCoordinator:
             documents=documents,
             positions=positions,
             budget_s=budget_s,
-            fault_seed=derive_fault_seed(self.config.seed, shard_id),
             poison=poison,
             run_token=run_token,
         )
@@ -658,7 +646,7 @@ class ClusterCoordinator:
             )
         envelope = assignment.envelope
         attempt = envelope.attempt + 1
-        if attempt > self.config.max_shard_retries:
+        if attempt > MAX_SHARD_RETRIES:
             raise ClusterError(
                 f"shard {shard_id} failed after {attempt} attempts: {cause}",
                 shard_id=shard_id,

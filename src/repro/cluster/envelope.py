@@ -2,13 +2,12 @@
 
 A worker process receives a :class:`TaskEnvelope` — the shard's
 documents, a *declarative* :class:`ShardPlanSpec` (operator names and
-JSON-able params, mirroring Luna's logical-plan nodes), the remaining
-deadline budget, and a derived fault seed — and sends back a
-:class:`ShardResult`. Nothing else is shared: no closures, no locks, no
-live LLM clients. The worker rebuilds its pipeline by lowering the spec
-through the operator table the in-process engine runs
-(:data:`repro.luna.lowering.LOWERING`), which is what makes sharded
-output byte-identical to local execution.
+JSON-able params, mirroring Luna's logical-plan nodes) and the remaining
+deadline budget — and sends back a :class:`ShardResult`. Nothing else is
+shared: no closures, no locks, no live LLM clients. The worker rebuilds
+its pipeline by lowering the spec through the operator table the
+in-process engine runs (:data:`repro.luna.lowering.LOWERING`), which is
+what makes sharded output byte-identical to local execution.
 
 :func:`ensure_picklable_spec` enforces the boundary at submit time with
 a typed error instead of a ``PicklingError`` deep inside a queue feeder
@@ -147,23 +146,13 @@ class WorkerConfig:
     start, so it carries seeds and knobs, never live objects. The LLM
     seed equals the parent's — the simulated backend is deterministic
     per (model, prompt, seed), so shard placement cannot change
-    completions. Fault seeds, by contrast, are per-shard (see
-    :func:`~repro.cluster.sharding.derive_fault_seed`) and ride each
-    envelope.
+    completions.
     """
 
     seed: int = 0
     default_model: str = "sim-large"
-    #: In-worker thread parallelism for the shard's DocSet plan.
-    parallelism: int = 1
     #: Fraction of virtual LLM latency really slept (see SimulatedLLM).
     real_latency_scale: float = 0.0
-    #: Per-record failure containment inside the worker ("fail" | "retry"
-    #: | "skip" | "dead_letter").
-    on_error: str = "retry"
-    #: Deterministic per-shard fault injection (0.0 disables).
-    transient_rate: float = 0.0
-    rate_limit_rate: float = 0.0
 
 
 @dataclass
@@ -181,8 +170,6 @@ class TaskEnvelope:
     #: worker rebuilds a Deadline from it, so the parent's lifecycle
     #: discipline crosses the process boundary.
     budget_s: Optional[float] = None
-    #: Per-shard fault-injection seed (parent seed x shard id).
-    fault_seed: int = 0
     #: Chaos hook: "die" makes the worker exit hard mid-shard, proving
     #: worker-death detection and shard retry on a peer.
     poison: Optional[str] = None

@@ -35,15 +35,6 @@ def shard_for(doc_id: str, n_shards: int) -> int:
     return int(stable_fingerprint([doc_id]), 16) % n_shards
 
 
-def derive_fault_seed(parent_seed: int, shard_id: int) -> int:
-    """A per-shard fault-injection seed from the parent seed and shard id.
-
-    Stable-fingerprint based, so a shard retried on a *different* worker
-    replays exactly the fault schedule its first attempt saw.
-    """
-    return int(stable_fingerprint([parent_seed, shard_id]), 16) & 0x7FFFFFFF
-
-
 @dataclass
 class Shard:
     """One shard of a partitioned document set."""

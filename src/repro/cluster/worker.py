@@ -3,10 +3,13 @@
 Each cluster worker is a full, isolated copy of the in-process stack —
 its own :class:`~repro.llm.simulated.SimulatedLLM` (same seed as the
 parent, so completions are placement-independent), its own
-:class:`~repro.llm.client.ReliableLLM` reliability layer, its own
-:class:`~repro.runtime.RequestScheduler` and executor. Nothing is shared
-with the coordinator but the task/result queues; this is the paper's
-shared-nothing Ray-worker shape scaled down to ``multiprocessing``.
+:class:`~repro.llm.client.ReliableLLM` reliability layer and executor.
+Nothing is shared with the coordinator but the task/result queues; this
+is the paper's shared-nothing Ray-worker shape scaled down to
+``multiprocessing``. A worker runs its shard on one thread, so it has no
+request scheduler: with one caller there is nothing to batch or dedup,
+and a scheduler would only hold each call for its batch window. Shard
+LLM calls go straight to the worker's ``ReliableLLM``.
 
 Byte-identity with local execution is structural, not tested-in:
 :func:`run_spec_locally` is the *only* implementation of a shard plan,
@@ -30,8 +33,6 @@ from typing import Any, List, Optional, Tuple
 
 from ..docmodel.document import Document
 from ..execution.executor import ExecutionStats
-from ..faults.injector import FaultInjector
-from ..faults.schedule import FaultSchedule
 from ..lifecycle.deadline import (
     CancelScope,
     Deadline,
@@ -41,7 +42,7 @@ from ..lifecycle.deadline import (
 from ..llm.cost import CostTracker
 from ..llm.simulated import SimulatedLLM
 from ..luna.lowering import Scope, lower
-from ..runtime import Priority, RequestScheduler
+from ..runtime import Priority
 from ..sycamore.context import SycamoreContext
 from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 
@@ -55,7 +56,6 @@ def run_spec_locally(
     context: SycamoreContext,
     documents: List[Document],
     spec: ShardPlanSpec,
-    on_error: Optional[str] = None,
 ) -> Tuple[List[Document], ExecutionStats]:
     """Run a shard spec over documents in the calling process.
 
@@ -72,7 +72,7 @@ def run_spec_locally(
         params = shard_op.param_dict()
         params["model"] = params.get("model") or spec.default_model
         docset = lower(shard_op.operation, params, scope, [docset])
-    return docset.execute(on_error=on_error)
+    return docset.execute()
 
 
 def build_worker_context(config: WorkerConfig) -> SycamoreContext:
@@ -84,12 +84,7 @@ def build_worker_context(config: WorkerConfig) -> SycamoreContext:
         real_latency_scale=config.real_latency_scale,
     )
     context = SycamoreContext(
-        llm=backend,
-        parallelism=config.parallelism,
-        default_model=config.default_model,
-        seed=config.seed,
-        on_error=config.on_error,
-        scheduler=RequestScheduler(max_wait_ms=0.5),
+        llm=backend, default_model=config.default_model, seed=config.seed
     )
     # The context builds its own (empty) tracker before wrapping the
     # backend; point it at the backend's ledger so shard stats are real.
@@ -98,10 +93,7 @@ def build_worker_context(config: WorkerConfig) -> SycamoreContext:
 
 
 def execute_envelope(
-    context: SycamoreContext,
-    config: WorkerConfig,
-    envelope: TaskEnvelope,
-    worker_id: int,
+    context: SycamoreContext, envelope: TaskEnvelope, worker_id: int
 ) -> ShardResult:
     """Run one shard envelope to a ShardResult (never raises)."""
     if envelope.poison == "die":
@@ -127,22 +119,10 @@ def execute_envelope(
             deadline=Deadline(envelope.budget_s), query_id=envelope.query_id
         )
 
-    injected_backend = None
-    if config.transient_rate > 0 or config.rate_limit_rate > 0:
-        injector = FaultInjector(
-            FaultSchedule(
-                seed=envelope.fault_seed,
-                transient_rate=config.transient_rate,
-                rate_limit_rate=config.rate_limit_rate,
-            )
-        )
-        injected_backend = context.llm.backend
-        context.llm.backend = injector.wrap_llm(injected_backend)
-
     try:
         with attach_scope(scope):
             documents, stats = run_spec_locally(
-                context, envelope.documents, envelope.spec, on_error=config.on_error
+                context, envelope.documents, envelope.spec
             )
         position_of = {
             document.doc_id: position
@@ -179,9 +159,6 @@ def execute_envelope(
             error=f"{type(exc).__name__}: {exc}",
             run_token=envelope.run_token,
         )
-    finally:
-        if injected_backend is not None:
-            context.llm.backend = injected_backend
 
     after = context.cost_tracker.summary()
     result.wall_s = time.monotonic() - started
@@ -213,9 +190,7 @@ def worker_main(
                 break
             if context is None:
                 context = build_worker_context(config)
-            result_queue.put(execute_envelope(context, config, envelope, worker_id))
+            result_queue.put(execute_envelope(context, envelope, worker_id))
     finally:
         if context is not None:
-            if context.scheduler is not None:
-                context.scheduler.close(drain=False)
             context.close()

@@ -23,7 +23,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from ..docmodel.document import Document
 
@@ -108,10 +108,8 @@ class MemoryCache:
 
 
 class DiskCache:
-    """Persists materialized records to a JSONL file.
-
-    ``serialize``/``deserialize`` default to the Document codec; pass
-    ``json.dumps``/``json.loads``-style callables for plain records.
+    """Persists materialized records to a JSONL file: documents through
+    the Document codec, any other record as a JSON value.
 
     ``fingerprint`` identifies the computation that produces the records
     (usually :func:`plan_fingerprint` of the upstream plan). When set,
@@ -124,13 +122,9 @@ class DiskCache:
     def __init__(
         self,
         path: Path,
-        serialize: Optional[Callable[[Any], str]] = None,
-        deserialize: Optional[Callable[[str], Any]] = None,
         fingerprint: Optional[str] = None,
     ):
         self.path = Path(path)
-        self._serialize = serialize or _default_serialize
-        self._deserialize = deserialize or _default_deserialize
         self.fingerprint = fingerprint
 
     @property
@@ -162,7 +156,7 @@ class DiskCache:
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             for record in records:
-                handle.write(self._serialize(record))
+                handle.write(_encode(record))
                 handle.write("\n")
         tmp.replace(self.path)  # atomic publish: readers never see partial files
         if self.fingerprint is not None:
@@ -179,7 +173,7 @@ class DiskCache:
             for line in handle:
                 line = line.strip()
                 if line:
-                    records.append(self._deserialize(line))
+                    records.append(_decode(line))
         return records
 
     def invalidate(self) -> None:
@@ -190,13 +184,13 @@ class DiskCache:
             self.fingerprint_path.unlink()
 
 
-def _default_serialize(record: Any) -> str:
+def _encode(record: Any) -> str:
     if isinstance(record, Document):
         return json.dumps({"__document__": record.to_dict()})
     return json.dumps({"__value__": record})
 
 
-def _default_deserialize(line: str) -> Any:
+def _decode(line: str) -> Any:
     data = json.loads(line)
     if "__document__" in data:
         return Document.from_dict(data["__document__"])

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..llm.base import LLMClient, LLMResponse
 from ..llm.errors import LLMTimeoutError, RateLimitError, TransientLLMError
 from ..observability.metrics import MetricsRegistry, get_registry
-from .schedule import BROWNOUT, FaultDecision, FaultSchedule
+from .schedule import BROWNOUT, RATE_LIMIT_RETRY_AFTER_S, FaultDecision, FaultSchedule
 
 
 class InjectedFault(RuntimeError):
@@ -141,7 +141,7 @@ class FaultyLLM(LLMClient):
         if decision.kind == "rate_limit":
             raise RateLimitError(
                 f"injected rate limit (call {decision.index})",
-                retry_after_s=self.injector.schedule.rate_limit_retry_after_s,
+                retry_after_s=RATE_LIMIT_RETRY_AFTER_S,
             )
         if decision.kind == "timeout":
             raise LLMTimeoutError(f"injected timeout (call {decision.index})")

@@ -40,6 +40,9 @@ FAULT_KINDS: Tuple[str, ...] = (
 
 BROWNOUT = "brownout"
 
+#: The retry-after hint an injected 429 carries, in seconds.
+RATE_LIMIT_RETRY_AFTER_S = 0.01
+
 
 @dataclass(frozen=True)
 class BrownoutWindow:
@@ -102,7 +105,6 @@ class FaultSchedule:
     malformed_rate: float = 0.0
     timeout_rate: float = 0.0
     latency_spike_s: float = 0.25
-    rate_limit_retry_after_s: float = 0.01
     brownouts: Tuple[BrownoutWindow, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:

@@ -93,6 +93,13 @@ INGEST_DATASETS: Dict[str, Dict[str, str]] = {
     },
 }
 
+#: How long a synchronous POST /v1/query waits before 504.
+SYNC_TIMEOUT_S = 300.0
+#: Request bodies past this size are refused with 413.
+MAX_BODY_BYTES = 1 << 20
+#: Ticket retention for status and trace lookups; the oldest evict.
+MAX_TICKETS = 2048
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -108,19 +115,9 @@ class GatewayConfig:
     #: limiting. Distinct from TenantQuota concurrency admission.
     rate_per_s: float = 0.0
     rate_burst: Optional[float] = None
-    #: How long a synchronous POST /v1/query waits before 504.
-    sync_timeout_s: float = 300.0
     #: Event-poll granularity and keep-alive cadence for SSE streams.
     stream_poll_s: float = 0.1
     stream_heartbeat_s: float = 5.0
-    #: Cancel the underlying query when its SSE client disconnects.
-    cancel_on_disconnect: bool = True
-    #: Default end-to-end deadline applied when the body names none.
-    default_deadline_s: Optional[float] = None
-    max_body_bytes: int = 1 << 20
-    access_log_size: int = 1024
-    #: Completed-ticket retention (status / trace lookups); oldest evict.
-    max_tickets: int = 2048
     #: Optional sink for rendered access-log lines (e.g. print).
     log_sink: Optional[Callable[[str], None]] = None
 
@@ -231,7 +228,7 @@ def _served_payload(served: ServedResult) -> Dict[str, Any]:
 
 class Gateway:
     """The HTTP front end. Owns the listening socket, the middleware
-    stack, and (by default) the lifecycle of the service behind it.
+    stack, and the lifecycle of the service behind it.
 
     Usage::
 
@@ -247,15 +244,11 @@ class Gateway:
         self,
         service: QueryService,
         config: Optional[GatewayConfig] = None,
-        close_service: bool = True,
     ):
         self.service = service
         self.config = config or GatewayConfig()
-        self.close_service = close_service
         self.registry = service.registry
-        self.access_log = AccessLogMiddleware(
-            max_records=self.config.access_log_size, sink=self.config.log_sink
-        )
+        self.access_log = AccessLogMiddleware(sink=self.config.log_sink)
         self.rate_limiter: Optional[RateLimitMiddleware] = None
         #: Middleware order is part of the contract (docs/GATEWAY.md):
         #: request-id first (everything downstream logs it), then auth
@@ -344,8 +337,7 @@ class Gateway:
             server.server_close()
         if thread is not None:
             thread.join(timeout=timeout)
-        if self.close_service:
-            self.service.close(drain=drain, timeout=timeout)
+        self.service.close(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "Gateway":
         return self
@@ -387,11 +379,11 @@ class Gateway:
             self._tickets[ticket.query_id] = ticket
             if ticket.request_id:
                 self._request_ids[ticket.request_id] = ticket.query_id
-            while len(self._tickets) > self.config.max_tickets:
+            while len(self._tickets) > MAX_TICKETS:
                 old_qid, old = self._tickets.popitem(last=False)
                 if old.request_id:
                     self._request_ids.pop(old.request_id, None)
-            while len(self._request_ids) > self.config.max_tickets:
+            while len(self._request_ids) > MAX_TICKETS:
                 self._request_ids.popitem(last=False)
 
     def ticket(self, ref: str) -> QueryTicket:
@@ -546,7 +538,7 @@ class Gateway:
                 )
             ctx.tenant = session.tenant
         tenant = self._resolve_tenant(ctx, body)
-        deadline_s = body.get("deadline_s", self.config.default_deadline_s)
+        deadline_s = body.get("deadline_s")
         ticket = self.service.submit(
             question,
             index=body.get("index"),
@@ -569,7 +561,7 @@ class Gateway:
                 },
                 stream=self._sse_frames(ticket),
             )
-        served = ticket.result(timeout=self.config.sync_timeout_s)
+        served = ticket.result(timeout=SYNC_TIMEOUT_S)
         return Response(payload=_served_payload(served))
 
     def _sse_frames(self, ticket: QueryTicket) -> Iterator[bytes]:
@@ -605,7 +597,7 @@ class Gateway:
         finally:
             events.close()
         try:
-            served = ticket.result(timeout=config.sync_timeout_s)
+            served = ticket.result(timeout=SYNC_TIMEOUT_S)
         except BaseException as exc:  # noqa: BLE001 - typed terminal frame
             mapped = error_response(exc)
             payload = dict(mapped.payload or {})
@@ -642,7 +634,7 @@ class Gateway:
         if ticket.done():
             try:
                 payload["result"] = _served_payload(
-                    ticket.result(timeout=self.config.sync_timeout_s)
+                    ticket.result(timeout=SYNC_TIMEOUT_S)
                 )
             except BaseException as exc:  # noqa: BLE001 - report, not raise
                 mapped = error_response(exc)
@@ -775,7 +767,7 @@ class Gateway:
                 },
             )
         try:
-            served = ticket.result(timeout=self.config.sync_timeout_s)
+            served = ticket.result(timeout=SYNC_TIMEOUT_S)
         except BaseException as exc:  # noqa: BLE001 - failed queries: no trace doc
             mapped = error_response(exc)
             failure = dict(mapped.payload or {})
@@ -869,13 +861,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0") or "0")
         except ValueError:
             length = 0
-        if length > gateway.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             self._send_json(
                 Response(
                     status=413,
                     payload={
                         "error": "payload_too_large",
-                        "message": f"body over {gateway.config.max_body_bytes} bytes",
+                        "message": f"body over {MAX_BODY_BYTES} bytes",
                     },
                 )
             )
@@ -911,8 +903,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def _send_stream(self, ctx: RequestContext, response: Response) -> None:
         """Chunked transfer of an SSE frame iterator. A failed write
-        means the client went away: stop pumping, optionally cancel the
-        query, and let the handler thread exit."""
+        means the client went away: stop pumping, cancel the query, and
+        let the handler thread exit."""
         gateway = self.server.gateway
         frames = response.stream
         gateway._g_active_streams.inc()
@@ -930,7 +922,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             gateway._m_disconnects.inc()
-            if gateway.config.cancel_on_disconnect and ctx.query_id:
+            if ctx.query_id:
                 try:
                     gateway.ticket(ctx.query_id).cancel("client disconnected")
                 except KeyError:

@@ -14,7 +14,7 @@ All Sycamore LLM transforms and Luna operators accept any
 """
 
 from .base import DEFAULT_MODELS, LLMClient, LLMResponse, ModelSpec, Usage, get_model_spec
-from .client import CircuitBreaker, RateLimiter, ReliableLLM, repair_json
+from .client import CircuitBreaker, ReliableLLM, repair_json
 from .cost import CallRecord, CostSummary, CostTracker
 from .errors import (
     CircuitOpenError,
@@ -66,7 +66,6 @@ __all__ = [
     "PLAN_QUERY",
     "PromptTemplate",
     "RateLimitError",
-    "RateLimiter",
     "ReliableLLM",
     "SUMMARIZE_COLLECTION",
     "SUMMARIZE_DOCUMENT",

@@ -2,18 +2,17 @@
 
 Sycamore "handles retries and model-specific details like parsing the
 output as JSON" (§5.2). This module is that layer: exponential-backoff
-retry (with optional jitter, a per-run retry budget and per-request
-timeouts) for transient failures, a circuit breaker that fails fast
-during backend brownouts, JSON-mode completion with output repair, a
-bounded LRU response cache, an optional rate limiter, and a batch API
-used by the execution engine to parallelize per-document LLM transforms.
+retry (with a per-run retry budget and per-request timeouts) for
+transient failures, a circuit breaker that fails fast during backend
+brownouts, JSON-mode completion with output repair, a bounded LRU
+response cache, and a batch API used by the execution engine to
+parallelize per-document LLM transforms.
 """
 
 from __future__ import annotations
 
 import contextvars
 import json
-import random
 import re
 import threading
 import time
@@ -34,6 +33,10 @@ from .errors import (
     TransientLLMError,
     UnknownModelError,
 )
+
+#: Threads of the pool one client shares among its parallel
+#: :meth:`ReliableLLM.complete_many` calls.
+BATCH_POOL_WORKERS = 16
 
 
 def repair_json(text: str) -> Any:
@@ -111,52 +114,6 @@ def _close_brackets(fragment: str) -> str:
     # Drop a dangling comma/colon left at the end.
     repaired = re.sub(r"[,:]\s*$", "", repaired)
     return repaired + "".join(reversed(stack))
-
-
-class RateLimiter:
-    """Token-bucket rate limiter (requests per second).
-
-    Disabled limiters cost nothing. The clock is injectable so tests can
-    drive it deterministically. The lock is held only long enough to
-    *reserve* a slot — the sleep itself happens outside it, so concurrent
-    waiters queue up behind the bucket, not behind one sleeping thread.
-    """
-
-    def __init__(
-        self,
-        requests_per_second: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleeper: Callable[[float], None] = time.sleep,
-    ):
-        self.rate = requests_per_second
-        self._clock = clock
-        self._sleeper = sleeper
-        self._lock = threading.Lock()
-        self._allowance = requests_per_second or 0.0
-        self._last = clock()
-
-    def acquire(self) -> None:
-        """Block (via the sleeper) until a request slot is available."""
-        if self.rate is None:
-            return
-        with self._lock:
-            now = self._clock()
-            self._allowance = min(
-                self.rate, self._allowance + (now - self._last) * self.rate
-            )
-            self._last = now
-            if self._allowance >= 1.0:
-                self._allowance -= 1.0
-                wait = 0.0
-            else:
-                # Reserve the next slot: account for the tokens that will
-                # have accrued by the end of the wait, then go to sleep
-                # WITHOUT the lock so other threads can reserve after us.
-                wait = (1.0 - self._allowance) / self.rate
-                self._allowance = 0.0
-                self._last = now + wait
-        if wait > 0.0:
-            self._sleeper(wait)
 
 
 class CircuitBreaker:
@@ -245,16 +202,14 @@ class ReliableLLM(LLMClient):
     """Retry + circuit-breaker + cache + JSON-mode wrapper around a backend.
 
     All LLM-powered transforms talk to the backend through this class so
-    that retries, caching and throttling behave uniformly.
+    that retries and caching behave uniformly.
 
     Parameters
     ----------
     max_retries:
         Retries per request for transient failures.
-    backoff_base_s / backoff_jitter:
-        Exponential backoff base and jitter fraction in [0, 1]: each sleep
-        is scaled by ``1 - jitter*u`` with ``u`` drawn from a seeded RNG,
-        decorrelating concurrent retriers. Default 0 (deterministic).
+    backoff_base_s:
+        Exponential backoff base: attempt ``n`` sleeps ``base * 2**n``.
     retry_budget:
         Optional cap on *total* retries across the life of this client —
         a run-level budget so a brownout cannot multiply per-request
@@ -277,9 +232,6 @@ class ReliableLLM(LLMClient):
         :class:`CircuitOpenError` instead of burning retries.
     cache_max_entries:
         LRU bound on the response cache (default 4096 entries).
-    batch_pool_workers:
-        Size of the long-lived thread pool shared by every parallel
-        :meth:`complete_many` call (one pool per client, not per batch).
     tracker:
         Optional :class:`~repro.llm.cost.CostTracker`. Cache hits are
         recorded into it (``cached=True`` — zero dollars, full tokens)
@@ -300,48 +252,36 @@ class ReliableLLM(LLMClient):
         backend: LLMClient,
         max_retries: int = 4,
         backoff_base_s: float = 0.05,
-        backoff_jitter: float = 0.0,
         cache_enabled: bool = True,
         cache_max_entries: int = 4096,
-        rate_limiter: Optional[RateLimiter] = None,
         retry_budget: Optional[int] = None,
         request_timeout_s: Optional[float] = None,
         total_timeout_s: Optional[float] = None,
         circuit_breaker: Optional[CircuitBreaker] = None,
         sleeper: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        jitter_seed: int = 0,
-        batch_pool_workers: int = 16,
         tracker: Optional[CostTracker] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
-        if batch_pool_workers < 1:
-            raise ValueError("batch_pool_workers must be >= 1")
-        if not 0.0 <= backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1]")
         if cache_max_entries < 1:
             raise ValueError("cache_max_entries must be >= 1")
         self.backend = backend
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self.backoff_jitter = backoff_jitter
         self.cache_enabled = cache_enabled
         self.cache_max_entries = cache_max_entries
-        self.rate_limiter = rate_limiter or RateLimiter(None)
         self.retry_budget = retry_budget
         self.request_timeout_s = request_timeout_s
         self.total_timeout_s = total_timeout_s
         self.circuit_breaker = circuit_breaker
         self._sleeper = sleeper
         self._clock = clock
-        self._jitter_rng = random.Random(jitter_seed)
         self._cache: "OrderedDict[Tuple[str, str, Optional[int]], LLMResponse]" = (
             OrderedDict()
         )
         self._cache_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self.batch_pool_workers = batch_pool_workers
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self.retries_performed = 0
@@ -453,7 +393,6 @@ class ReliableLLM(LLMClient):
             check_scope()
             if attempt > 0:
                 self._check_overall(overall_started, last_error)
-            self.rate_limiter.acquire()
             if self.circuit_breaker is not None and not self.circuit_breaker.allow():
                 self._m_circuit_rejections.inc()
                 raise CircuitOpenError(
@@ -555,7 +494,8 @@ class ReliableLLM(LLMClient):
 
         Retries bypass the response cache (a cached malformed answer would
         never heal) and nudge the temperature so a stochastic backend can
-        produce different output.
+        produce different output. :class:`~repro.runtime.ScheduledLLM`
+        runs this same loop through the scheduler.
         """
         last_error: Optional[MalformedOutputError] = None
         for attempt in range(json_retries + 1):
@@ -587,7 +527,7 @@ class ReliableLLM(LLMClient):
         Duplicate prompts within the batch are collapsed into one
         upstream call whose response is fanned back out to every
         position. Parallel batches share one long-lived thread pool
-        (sized by ``batch_pool_workers``) instead of constructing and
+        (:data:`BATCH_POOL_WORKERS` threads) instead of constructing and
         tearing down an executor per call; ``parallelism <= 1`` keeps the
         fully sequential path. With ``return_exceptions`` a failed
         completion occupies its slot as the exception instance instead of
@@ -631,7 +571,7 @@ class ReliableLLM(LLMClient):
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.batch_pool_workers,
+                    max_workers=BATCH_POOL_WORKERS,
                     thread_name_prefix="repro-llm-batch",
                 )
             return self._pool
@@ -726,9 +666,4 @@ class ReliableLLM(LLMClient):
             self._cache.pop((model, prompt, max_output_tokens), None)
 
     def _backoff(self, attempt: int) -> float:
-        delay = self.backoff_base_s * (2**attempt)
-        if self.backoff_jitter > 0.0:
-            with self._counter_lock:
-                u = self._jitter_rng.random()
-            delay *= 1.0 - self.backoff_jitter * u
-        return delay
+        return self.backoff_base_s * (2**attempt)

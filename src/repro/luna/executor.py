@@ -98,7 +98,7 @@ class ExecutionTrace:
     trace_id: str = ""
     #: Span-derived per-operator cost rollup (tokens, dollars, retries,
     #: cache/dedup savings). Same arithmetic as the JSON trace export.
-    cost: Optional[CostAccount] = None
+    cost: CostAccount = field(default_factory=CostAccount)
     #: Nodes freshly executed this run vs. replayed from a journal
     #: checkpoint — the counters the chaos-recovery gate asserts on.
     nodes_executed: int = 0

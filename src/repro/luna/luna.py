@@ -62,7 +62,7 @@ class LunaResult:
             f"Total LLM calls: {self.trace.total_llm_calls()}  "
             f"cost: ${self.trace.total_cost_usd():.4f}",
         ]
-        if self.trace.cost is not None and self.trace.cost.operators:
+        if self.trace.cost.operators:
             parts += ["", "Cost account (from trace spans):", self.trace.cost.render()]
         if self.trace.optimizer_report is not None:
             parts += ["", self.trace.optimizer_report.render()]

@@ -39,15 +39,17 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 #: under one acquisition: :meth:`MetricsRegistry.add_all`.
 _VALUES = threading.Lock()
 
+#: How many recent observations a histogram keeps for its percentiles.
+HISTOGRAM_SAMPLES = 1024
+
 
 class Counter:
     """A monotonically increasing value (float increments allowed)."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self._value = 0.0
 
     def inc(self, amount: "int | float" = 1) -> None:
@@ -75,9 +77,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self._value = 0.0
 
     def set(self, value: "int | float") -> None:
@@ -104,22 +105,19 @@ class Histogram:
     """A distribution: exact count/sum/min/max, sampled percentiles.
 
     The percentile estimate comes from a bounded reservoir of the most
-    recent ``max_samples`` observations (deterministic — no random
-    sampling — so tests can assert on it).
+    recent :data:`HISTOGRAM_SAMPLES` observations (deterministic — no
+    random sampling — so tests can assert on it).
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "", max_samples: int = 1024):
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._samples: Deque[float] = deque(maxlen=max_samples)
+        self._samples: Deque[float] = deque(maxlen=HISTOGRAM_SAMPLES)
 
     def observe(self, value: "int | float") -> None:
         """Record one observation."""
@@ -185,23 +183,23 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: "Dict[str, Counter | Gauge | Histogram]" = {}
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create the named counter."""
-        return self._get_or_create(name, Counter, help)
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Get or create the named gauge."""
-        return self._get_or_create(name, Gauge, help)
+        return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """Get or create the named histogram."""
-        return self._get_or_create(name, Histogram, help)
+        return self._get_or_create(name, Histogram)
 
-    def _get_or_create(self, name: str, cls: type, help: str) -> Any:
+    def _get_or_create(self, name: str, cls: type) -> Any:
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = cls(name, help=help)
+                instrument = cls(name)
                 self._instruments[name] = instrument
             elif not isinstance(instrument, cls):
                 raise ValueError(

@@ -38,7 +38,7 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Dict, List, Optional
+from typing import Any, ContextManager, Dict, List, Optional
 
 #: The ambient span, shared process-wide so parent discovery works across
 #: component boundaries regardless of which Tracer instance records.
@@ -143,12 +143,7 @@ class Tracer:
     were created: late children of a trace that was already evicted.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.monotonic,
-        max_spans: int = MAX_RETAINED_SPANS,
-    ):
-        self._clock = clock
+    def __init__(self, max_spans: int = MAX_RETAINED_SPANS):
         self.max_spans = max_spans
         self._lock = threading.Lock()
         self._spans: Dict[str, Span] = {}
@@ -180,7 +175,7 @@ class Tracer:
         """
         if parent is _AMBIENT:
             parent = _CURRENT_SPAN.get()
-        now = self._clock()
+        now = time.monotonic()
         with self._lock:
             self._span_counter += 1
             span_id = f"s{self._span_counter:06d}"
@@ -231,7 +226,7 @@ class Tracer:
     ) -> Span:
         """Close the span (idempotent — the first finish wins)."""
         if span.end_s is None:
-            span.end_s = self._clock()
+            span.end_s = time.monotonic()
             span.status = status
             span.error = error
         return span

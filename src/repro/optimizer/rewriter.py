@@ -340,25 +340,35 @@ class CostBasedOptimizer:
 
 
 def _filter_chains(plan: LogicalPlan) -> List[List[int]]:
-    """Maximal runs of single-input filter nodes forming a chain."""
+    """Maximal runs of single-input filter nodes forming a chain.
+
+    A filter continues its input's chain only when it is that filter's
+    one consumer: reordering across a fan-out point would change what
+    the other consumers see. Every other filter starts a chain, the
+    filters after a fan-out included (Figure 5's second stage)."""
+
+    def successor(index: int) -> Optional[int]:
+        consumers = plan.consumers_of(index)
+        if len(consumers) != 1:
+            return None
+        consumer = plan.nodes[consumers[0]]
+        if consumer.operation not in _FILTER_OPS or consumer.inputs != [index]:
+            return None
+        return consumers[0]
+
+    links = {
+        index: successor(index)
+        for index, node in enumerate(plan.nodes)
+        if node.operation in _FILTER_OPS
+    }
+    continued = set(links.values())
     chains: List[List[int]] = []
-    for index, node in enumerate(plan.nodes):
-        if node.operation not in _FILTER_OPS:
+    for start in links:
+        if start in continued:
             continue
-        # Start of a chain: predecessor is not a filter.
-        if node.inputs and plan.nodes[node.inputs[0]].operation in _FILTER_OPS:
-            continue
-        chain = [index]
-        while True:
-            # Only extend single-consumer links: reordering a fan-out
-            # point would change what the other consumers see.
-            consumers = plan.consumers_of(chain[-1])
-            if len(consumers) != 1:
-                break
-            consumer = plan.nodes[consumers[0]]
-            if consumer.operation not in _FILTER_OPS or consumer.inputs != [chain[-1]]:
-                break
-            chain.append(consumers[0])
+        chain = [start]
+        while links[chain[-1]] is not None:
+            chain.append(links[chain[-1]])
         if len(chain) > 1:
             chains.append(chain)
     return chains

@@ -22,8 +22,6 @@ from ..llm.prompts import ANSWER_QUESTION, neutralize_markers, split_into_chunks
 from ..llm.tokens import count_tokens
 from ..llm.base import get_model_spec
 from ..observability.metrics import get_registry
-from ..observability.tracing import Tracer
-from ..runtime import Priority, RequestScheduler, ScheduledLLM
 
 RetrievalMode = Literal["vector", "keyword", "hybrid"]
 
@@ -56,11 +54,6 @@ class RagPipeline:
         Chunks retrieved per question.
     retrieval:
         ``vector``, ``keyword`` or ``hybrid``.
-    scheduler:
-        Optional shared :class:`repro.runtime.RequestScheduler`.
-        Question-answering is a user-facing path, so generation calls are
-        submitted at INTERACTIVE priority; without a scheduler they go
-        straight to ``llm``.
     """
 
     def __init__(
@@ -70,18 +63,9 @@ class RagPipeline:
         model: str = "sim-large",
         top_k: int = 5,
         retrieval: RetrievalMode = "vector",
-        scheduler: Optional[RequestScheduler] = None,
     ):
         self.index = index
         self.llm = llm
-        self.scheduler = scheduler
-        if scheduler is not None and scheduler.client is None:
-            scheduler.client = llm
-        self._generator = (
-            ScheduledLLM(scheduler, Priority.INTERACTIVE)
-            if scheduler is not None
-            else llm
-        )
         self.model = model
         self.top_k = top_k
         self.retrieval = retrieval
@@ -131,41 +115,18 @@ class RagPipeline:
             return self.index.search_keyword(question, k=k)
         return self.index.search_hybrid(question, k=k)
 
-    def answer(self, question: str, tracer: Optional[Tracer] = None) -> RagAnswer:
-        """Retrieve context and generate a grounded answer.
-
-        ``tracer`` (or the scheduler's tracer, when one is bound) makes
-        the answer a ``query`` span tree: retrieval and generation become
-        child spans, so RAG runs are comparable with Luna traces.
-        """
-        if tracer is None and self.scheduler is not None:
-            tracer = self.scheduler.tracer
-        if tracer is None:
-            return self._answer(question)
-        with tracer.span(
-            "query:rag", kind="query", parent=None, question=question
-        ):
-            return self._answer(question, tracer)
-
-    def _answer(self, question: str, tracer: Optional[Tracer] = None) -> RagAnswer:
+    def answer(self, question: str) -> RagAnswer:
+        """Retrieve context and generate a grounded answer."""
         registry = get_registry()
         registry.counter("rag.questions").inc()
         # User questions are untrusted prompt input (prompt-taint lint).
         question = neutralize_markers(question)
-        if tracer is not None:
-            with tracer.span("rag:retrieve", kind="operator", top_k=self.top_k):
-                chunks = self.retrieve(question)
-        else:
-            chunks = self.retrieve(question)
+        chunks = self.retrieve(question)
         context, used, truncated = self._pack_context(question, chunks)
         if truncated:
             registry.counter("rag.context_truncations").inc()
         prompt = ANSWER_QUESTION.render(question=question, context=context)
-        if tracer is not None:
-            with tracer.span("rag:generate", kind="operator"):
-                response = self._generator.complete(prompt, model=self.model)
-        else:
-            response = self._generator.complete(prompt, model=self.model)
+        response = self.llm.complete(prompt, model=self.model)
         registry.histogram("rag.context_tokens").observe(count_tokens(context))
         return RagAnswer(
             question=question,

@@ -13,8 +13,7 @@ from typing import Any, List, Optional
 
 from ..lifecycle.deadline import wait_future
 from ..llm.base import LLMClient, LLMResponse
-from ..llm.client import repair_json
-from ..llm.errors import MalformedOutputError
+from ..llm.client import ReliableLLM
 from .scheduler import Priority, RequestScheduler
 
 
@@ -27,21 +26,18 @@ class ScheduledLLM(LLMClient):
         The shared scheduler to submit to.
     priority:
         Admission class for every call made through this adapter.
-    request_timeout_s:
-        Optional cap on how long a caller blocks on its future. None
-        blocks until the scheduler resolves it (the scheduler itself
-        never loses a future, so this is safe).
+
+    A caller blocks until the scheduler resolves its future (the
+    scheduler never loses one) or its own lifecycle scope ends the wait.
     """
 
     def __init__(
         self,
         scheduler: RequestScheduler,
         priority: "Priority | int | str" = Priority.BULK,
-        request_timeout_s: Optional[float] = None,
     ):
         self.scheduler = scheduler
         self.priority = priority
-        self.request_timeout_s = request_timeout_s
 
     def complete(
         self,
@@ -57,42 +53,22 @@ class ScheduledLLM(LLMClient):
             max_output_tokens=max_output_tokens,
             temperature=temperature,
             priority=self.priority,
-            timeout=self.request_timeout_s,
         )
 
-    def complete_json(
-        self,
-        prompt: str,
-        model: str = "sim-large",
-        max_output_tokens: Optional[int] = None,
-        json_retries: int = 2,
-    ) -> Any:
-        """Scheduled counterpart of :meth:`ReliableLLM.complete_json`.
+    #: The reliability layer's malformed-output retry loop, run through
+    #: this adapter's ``complete`` and ``_drop_cached``: a retry nudges the
+    #: temperature, which also takes it out of the dedup/batch pool, so it
+    #: is never collapsed onto the in-flight request that produced garbage.
+    complete_json = ReliableLLM.complete_json
 
-        Malformed-output retries nudge the temperature, which also takes
-        them out of the dedup/batch pool — a retry must not be collapsed
-        onto the in-flight request that just produced garbage. When the
-        underlying client caches responses, the poisoned entry is dropped
-        so the retry reaches the backend.
-        """
-        last_error: Optional[MalformedOutputError] = None
-        for attempt in range(json_retries + 1):
-            temperature = 0.0 if attempt == 0 else 0.1
-            response = self.complete(
-                prompt,
-                model=model,
-                max_output_tokens=max_output_tokens,
-                temperature=temperature,
-            )
-            try:
-                return repair_json(response.text)
-            except MalformedOutputError as exc:
-                last_error = exc
-                drop = getattr(self.scheduler.client, "_drop_cached", None)
-                if drop is not None:
-                    drop(model, prompt, max_output_tokens)
-        assert last_error is not None
-        raise last_error
+    def _drop_cached(
+        self, model: str, prompt: str, max_output_tokens: Optional[int]
+    ) -> None:
+        """Drop a poisoned response from the scheduler client's cache, so
+        the retry reaches the backend."""
+        client = self.scheduler.client
+        if isinstance(client, ReliableLLM):
+            client._drop_cached(model, prompt, max_output_tokens)
 
     def complete_many(
         self,
@@ -124,7 +100,7 @@ class ScheduledLLM(LLMClient):
                 # Scope-aware gather: a cancelled/expired query stops
                 # waiting here with its typed error instead of riding
                 # shared futures to completion.
-                results.append(wait_future(future, timeout=self.request_timeout_s))
+                results.append(wait_future(future))
             except Exception as exc:  # noqa: BLE001 - isolate per request
                 if not return_exceptions:
                     raise

@@ -41,7 +41,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..lifecycle.deadline import (
     CancelScope,
@@ -219,8 +219,6 @@ class RequestScheduler:
         is promoted (the starvation guard).
     dedup:
         Whether identical in-flight requests share one upstream call.
-    clock:
-        Injectable monotonic clock (tests).
     tracer:
         Optional :class:`~repro.observability.Tracer`. Request spans are
         created at submit time under the submitter's ambient span; each
@@ -242,7 +240,6 @@ class RequestScheduler:
         dispatch_parallelism: int = 4,
         starvation_limit: int = 4,
         dedup: bool = True,
-        clock: Callable[[], float] = time.monotonic,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -263,7 +260,6 @@ class RequestScheduler:
         self.dispatch_parallelism = dispatch_parallelism
         self.starvation_limit = starvation_limit
         self.dedup = dedup
-        self._clock = clock
         self.tracer = tracer
         self.registry = registry if registry is not None else get_registry()
         reg = self.registry
@@ -392,7 +388,7 @@ class RequestScheduler:
             temperature=temperature,
             priority=priority,
             future=future,
-            enqueued_at=self._clock(),
+            enqueued_at=time.monotonic(),
             key=key,
             span=span,
             scope=current_scope(),
@@ -634,12 +630,12 @@ class RequestScheduler:
             # instead of waiting for batch mates it cannot afford.
             remaining_budget = head.scope.remaining()
             if remaining_budget is not None:
-                deadline = min(deadline, self._clock() + remaining_budget)
+                deadline = min(deadline, time.monotonic() + remaining_budget)
         while len(batch) < self.max_batch_size:
             self._take_compatible_locked(queue, head, batch, purged)
             if len(batch) >= self.max_batch_size or self._closed:
                 break
-            remaining = deadline - self._clock()
+            remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             self._cond.wait(timeout=remaining)
@@ -745,7 +741,7 @@ class RequestScheduler:
     # ------------------------------------------------------------------
 
     def _dispatch(self, batch: List[LLMRequest]) -> None:
-        started = self._clock()
+        started = time.monotonic()
         batch_span: Optional[Span] = None
         if self.tracer is not None:
             head = batch[0]
@@ -773,7 +769,7 @@ class RequestScheduler:
                 results = self._call_client(client, batch)
         except BaseException as exc:  # noqa: BLE001 - whole-batch failure
             results = [exc] * len(batch)
-        finished = self._clock()
+        finished = time.monotonic()
         if self.tracer is not None and batch_span is not None:
             failures = sum(1 for r in results if isinstance(r, BaseException))
             batch_span.set_attributes(failed=failures)

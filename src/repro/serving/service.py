@@ -86,6 +86,12 @@ class ServiceClosed(ServingError):
     """The service is shut down (or shutting down without drain)."""
 
 
+#: LRU bounds of the two single-flight caches: plans are reused across
+#: corpus versions, answers only within one, so answers get more room.
+PLAN_CACHE_ENTRIES = 256
+RESULT_CACHE_ENTRIES = 512
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs for a :class:`QueryService`."""
@@ -96,19 +102,11 @@ class ServiceConfig:
     max_queue_depth: int = 32
     #: Default per-tenant inflight bound (override via set_quota).
     default_tenant_inflight: int = 8
-    plan_cache_size: int = 256
-    result_cache_size: int = 512
     #: Optimizer policy and failure containment for served queries. A
     #: service defaults to graceful degradation: a flaky backend yields
     #: partial answers, not 500s.
     policy: str = "balanced"
     error_policy: str = "dead_letter"
-    planner_model: str = "sim-large"
-    #: Worker *processes* for scatter/gather execution of large
-    #: per-record LLM operators (0 disables). When set, the service
-    #: attaches a :class:`repro.cluster.ClusterCoordinator` to the
-    #: context (unless one is already injected) and owns its lifecycle.
-    cluster_workers: int = 0
     #: Disk path for the adaptive optimizer's statistics store (None =
     #: memory-only). Loaded at startup, saved on close, so learned
     #: selectivity/$-per-row figures survive service restarts.
@@ -121,8 +119,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.default_tenant_inflight < 1:
             raise ValueError("default_tenant_inflight must be >= 1")
-        if self.cluster_workers < 0:
-            raise ValueError("cluster_workers must be >= 0")
 
 
 @dataclass
@@ -341,8 +337,8 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.tracer: Tracer = context.tracer
         self.registry = registry if registry is not None else context.registry
-        self.plan_cache = SingleFlightCache(self.config.plan_cache_size)
-        self.result_cache = SingleFlightCache(self.config.result_cache_size)
+        self.plan_cache = SingleFlightCache(PLAN_CACHE_ENTRIES)
+        self.result_cache = SingleFlightCache(RESULT_CACHE_ENTRIES)
         reg = self.registry
         self._m_submitted = reg.counter("serving.submitted")
         self._m_admitted = reg.counter("serving.admitted")
@@ -389,20 +385,6 @@ class QueryService:
         #: The epoch's Luna facade, shared by every worker; built on first
         #: use and dropped when the epoch rolls.
         self._epoch_luna: Optional[Luna] = None
-        # Scatter/gather back-end: served queries route large per-record
-        # LLM operators through worker processes (see repro.cluster).
-        # Lazy import — serving is on the luna -> cluster -> serving
-        # cycle, so the dependency must stay runtime-only.
-        self._owned_cluster: Optional[Any] = None
-        if self.config.cluster_workers > 0 and getattr(context, "cluster", None) is None:
-            from ..cluster.coordinator import ClusterConfig, ClusterCoordinator
-
-            self._owned_cluster = ClusterCoordinator(
-                ClusterConfig(n_workers=self.config.cluster_workers),
-                tracer=self.tracer,
-                registry=self.registry,
-            )
-            context.cluster = self._owned_cluster
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -600,7 +582,6 @@ class QueryService:
             if self._epoch_luna is None:
                 self._epoch_luna = Luna(
                     self.context,
-                    planner_model=self.config.planner_model,
                     policy=self.config.policy,
                     error_policy=self.config.error_policy,
                     stats_store=self.stats_store,
@@ -928,13 +909,6 @@ class QueryService:
     ) -> None:
         """Book an executed query's cost account to its tenant."""
         account = result.trace.cost
-        if account is None:
-            # Untraced context: synthesize a one-row account from the
-            # execution trace's aggregate numbers.
-            account = CostAccount()
-            record = account.operator("(query)")
-            record.cost_usd = result.trace.total_cost_usd()
-            record.llm_calls = result.trace.total_llm_calls()
         charges["cost"] += account.cost_usd
         with self._accounts_lock:
             self.tenant(tenant).account.merge(account)
@@ -944,8 +918,7 @@ class QueryService:
     ) -> None:
         """Book a result-cache hit as dollars saved, not spent."""
         ticket._emit("result_cache_hit")
-        cost = result.trace.cost
-        saved = cost.cost_usd if cost is not None else result.trace.total_cost_usd()
+        saved = result.trace.cost.cost_usd
         if saved > 0:
             charges["saved"] += saved
             self._m_saved_usd.inc(saved)
@@ -1034,11 +1007,6 @@ class QueryService:
         if self.config.optimizer_stats_path is not None:
             # Persist learned operator statistics across restarts.
             self.stats_store.save()
-        if self._owned_cluster is not None:
-            self._owned_cluster.close()
-            if getattr(self.context, "cluster", None) is self._owned_cluster:
-                self.context.cluster = None
-            self._owned_cluster = None
 
     def __enter__(self) -> "QueryService":
         return self

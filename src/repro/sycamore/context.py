@@ -58,7 +58,6 @@ class SycamoreContext:
         self,
         llm: Optional[LLMClient] = None,
         embedder: Optional[Embedder] = None,
-        catalog: Optional[IndexCatalog] = None,
         parallelism: int = 1,
         max_task_retries: int = 2,
         default_model: str = "sim-large",
@@ -90,7 +89,7 @@ class SycamoreContext:
                 scheduler.tracer = self.tracer
         self._scheduled_clients: dict = {}
         self.embedder: Embedder = embedder or HashingEmbedder(seed=seed)
-        self.catalog = catalog or IndexCatalog(embedder=self.embedder)
+        self.catalog = IndexCatalog(embedder=self.embedder)
         self.lineage = Lineage()
         self.parallelism = parallelism
         self.max_task_retries = max_task_retries

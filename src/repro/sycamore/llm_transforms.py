@@ -192,11 +192,8 @@ def make_cascade_filter_fn(
     llm = context.llm_for(priority)
     prefix = _template_prefix(FILTER_DOCUMENT, condition=condition)
     votes = max(1, int(draft_votes))
-    from ..observability.metrics import get_registry
-
-    registry = get_registry()
-    m_drafts = registry.counter("optimizer.cascade_drafts")
-    m_escalations = registry.counter("optimizer.cascade_escalations")
+    m_drafts = context.registry.counter("optimizer.cascade_drafts")
+    m_escalations = context.registry.counter("optimizer.cascade_escalations")
 
     def predicate(document: Document) -> bool:
         base_prompt = append_section(
@@ -247,11 +244,8 @@ def make_cascade_extract_fn(
     schema_json = json.dumps(schema, sort_keys=True)
     llm = context.llm_for(priority)
     prefix = _template_prefix(EXTRACT_PROPERTIES, schema=schema_json)
-    from ..observability.metrics import get_registry
-
-    registry = get_registry()
-    m_drafts = registry.counter("optimizer.cascade_drafts")
-    m_escalations = registry.counter("optimizer.cascade_escalations")
+    m_drafts = context.registry.counter("optimizer.cascade_drafts")
+    m_escalations = context.registry.counter("optimizer.cascade_escalations")
 
     def extract(document: Document) -> Document:
         prompt = append_section(

@@ -441,7 +441,7 @@ class TestHandlerBlockingIo:
 
     def test_bounded_result_ok(self):
         assert not self.gw_hits(
-            "served = ticket.result(timeout=self.config.sync_timeout_s)\n"
+            "served = ticket.result(timeout=SYNC_TIMEOUT_S)\n"
         )
         assert not self.gw_hits("served = ticket.result(30.0)\n")
 

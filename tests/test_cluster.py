@@ -36,8 +36,10 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
+    ClusterError,
     SpillableDocSet,
 )
+from repro.cluster.coordinator import MAX_SHARD_RETRIES
 from repro.cluster.bench import generate_bench_corpus
 from repro.cluster.envelope import (
     NonPicklableTaskError,
@@ -45,7 +47,6 @@ from repro.cluster.envelope import (
     ShardPlanSpec,
 )
 from repro.cluster.sharding import (
-    derive_fault_seed,
     merge_shard_outputs,
     partition_documents,
     shard_for,
@@ -79,8 +80,6 @@ def _run_locally(config: ClusterConfig, documents, spec):
         output, _ = run_spec_locally(context, documents, spec)
         llm_calls = context.cost_tracker.summary().calls
     finally:
-        if context.scheduler is not None:
-            context.scheduler.close(drain=False)
         context.close()
     return output, llm_calls
 
@@ -178,11 +177,6 @@ class TestSharding:
     def test_merge_rejects_mismatched_positions(self):
         with pytest.raises(ValueError):
             merge_shard_outputs({0: ([Document.from_text("x")], [0, 1])})
-
-    def test_fault_seed_is_stable_per_shard(self):
-        assert derive_fault_seed(3, 1) == derive_fault_seed(3, 1)
-        assert derive_fault_seed(3, 1) != derive_fault_seed(3, 2)
-        assert derive_fault_seed(3, 1) >= 0
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +342,17 @@ class TestShardedIndexes:
 
 
 class TestClusterExecution:
+    def test_worker_stack_calls_its_llm_directly(self):
+        """A worker runs its shard on one thread: no scheduler batches or
+        dedups its calls, every priority gets the reliability layer."""
+        context = build_worker_context(ClusterConfig().worker_config())
+        try:
+            assert context.scheduler is None
+            assert context.llm_for("bulk") is context.llm
+            assert context.llm_for("interactive") is context.llm
+        finally:
+            context.close()
+
     def test_sharded_output_byte_identical_to_single_process(self):
         """The cluster's core invariant at small scale: same bytes, and
         the same traffic (one call per document) on both sides, on a
@@ -449,9 +454,20 @@ class TestClusterExecution:
         assert second.llm_calls == 0
         assert _doc_bytes(second.documents) == _doc_bytes(first.documents)
 
-    def test_closed_coordinator_rejects_segments(self):
-        from repro.cluster import ClusterError
+    def test_a_failing_shard_stops_at_the_retry_bound(self):
+        spec = ShardPlanSpec.from_ops(
+            [ShardOp.make("LlmExtract", field="cause", type="string")],
+            default_model="no-such-model",
+        )
+        config = ClusterConfig(n_workers=1, shards_per_worker=1)
+        with ClusterCoordinator(config) as coordinator:
+            with pytest.raises(ClusterError) as excinfo:
+                coordinator.run_segment(generate_bench_corpus(2), spec)
+            stats = coordinator.stats()
+        assert excinfo.value.attempts == MAX_SHARD_RETRIES + 1
+        assert stats["shards"]["retried"] == MAX_SHARD_RETRIES
 
+    def test_closed_coordinator_rejects_segments(self):
         coordinator = ClusterCoordinator(ClusterConfig(n_workers=1))
         coordinator.close()
         with pytest.raises(ClusterError, match="closed"):

@@ -40,6 +40,7 @@ from repro.gateway import (
     TokenBucket,
     error_response,
 )
+from repro.gateway.server import MAX_BODY_BYTES
 from repro.serving import Overloaded, QueryService, ServiceClosed, ServiceConfig
 from repro.sycamore import SycamoreContext
 
@@ -343,6 +344,23 @@ class TestQueryRoutes:
             payload = json.loads(response.read(length))
             assert response.status == 400
             assert payload["error"] in ("bad_request", "JSONDecodeError")
+        finally:
+            connection.close()
+
+    def test_oversized_body_is_413_before_it_is_read(self, gateway):
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            # Headers only: the limit is checked on Content-Length, so the
+            # gateway answers without waiting for a body it would refuse.
+            connection.putrequest("POST", "/v1/query")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read(int(response.getheader("Content-Length"))))
+            assert response.status == 413
+            assert payload["error"] == "payload_too_large"
         finally:
             connection.close()
 

@@ -1,14 +1,12 @@
-"""Tests for the reliability layer: retries, caching, JSON repair, limits."""
+"""Tests for the reliability layer: retries, caching, JSON repair."""
 
 import json
-import threading
 
 import pytest
 
 from repro.llm import (
     LLMResponse,
     MalformedOutputError,
-    RateLimiter,
     ReliableLLM,
     SimulatedLLM,
     TransientLLMError,
@@ -189,103 +187,3 @@ class TestCompleteJson:
         )
         result = llm.complete_json(prompt, model="sim-oracle")
         assert isinstance(result, dict)  # repair or retry succeeded
-
-
-class TestRateLimiter:
-    def test_disabled_limiter_never_sleeps(self):
-        sleeps = []
-        limiter = RateLimiter(None, sleeper=sleeps.append)
-        for _ in range(100):
-            limiter.acquire()
-        assert sleeps == []
-
-    def test_limits_burst(self):
-        clock = {"t": 0.0}
-        sleeps = []
-
-        def sleeper(s):
-            sleeps.append(s)
-            clock["t"] += s
-
-        limiter = RateLimiter(2.0, clock=lambda: clock["t"], sleeper=sleeper)
-        for _ in range(4):
-            limiter.acquire()
-        # 2 rps with a burst of 2: two immediate, then throttled.
-        assert len(sleeps) >= 1
-        assert all(s > 0 for s in sleeps)
-
-    def test_sleep_happens_outside_lock(self):
-        clock = {"t": 0.0}
-        lock_states = []
-
-        def sleeper(s):
-            lock_states.append(limiter._lock.locked())
-            clock["t"] += s
-
-        limiter = RateLimiter(1.0, clock=lambda: clock["t"], sleeper=sleeper)
-        for _ in range(3):
-            limiter.acquire()
-        assert len(lock_states) == 2  # first acquire rides the burst
-        assert lock_states == [False, False]
-
-    def test_sleeping_waiter_does_not_block_others(self):
-        # One thread parked in the sleeper must not hold the lock: a second
-        # thread has to be able to reserve its own slot and finish.
-        clock = {"t": 0.0}
-        first_sleeping = threading.Event()
-        release_first = threading.Event()
-        calls = []
-        calls_lock = threading.Lock()
-
-        def sleeper(s):
-            with calls_lock:
-                calls.append(s)
-                ordinal = len(calls)
-            if ordinal == 1:
-                first_sleeping.set()
-                assert release_first.wait(timeout=5.0)
-
-        limiter = RateLimiter(1.0, clock=lambda: clock["t"], sleeper=sleeper)
-        limiter.acquire()  # burn the burst slot; no sleep
-
-        t1 = threading.Thread(target=limiter.acquire)
-        t1.start()
-        assert first_sleeping.wait(timeout=5.0)
-
-        second_done = threading.Event()
-
-        def second():
-            limiter.acquire()
-            second_done.set()
-
-        t2 = threading.Thread(target=second)
-        t2.start()
-        # Before the fix this deadlocked until t1 woke up.
-        assert second_done.wait(timeout=5.0)
-        release_first.set()
-        t1.join(timeout=5.0)
-        t2.join(timeout=5.0)
-        assert not t1.is_alive()
-        # Both waiters reserved distinct slots: 1s and 2s out.
-        assert sorted(calls) == [pytest.approx(1.0), pytest.approx(2.0)]
-
-    def test_concurrent_acquires_reserve_distinct_slots(self):
-        clock = {"t": 0.0}
-        clock_lock = threading.Lock()
-        sleeps = []
-
-        def sleeper(s):
-            with clock_lock:
-                sleeps.append(s)
-
-        limiter = RateLimiter(2.0, clock=lambda: clock["t"], sleeper=sleeper)
-        threads = [threading.Thread(target=limiter.acquire) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert not any(t.is_alive() for t in threads)
-        # Burst of 2 absorbed free; the other 6 each reserved a later,
-        # strictly deeper slot in the bucket (clock frozen at t=0).
-        assert len(sleeps) == 6
-        assert sorted(sleeps) == [pytest.approx(0.5 * k) for k in range(1, 7)]

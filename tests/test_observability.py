@@ -32,6 +32,7 @@ from repro.observability import (
     trace_to_dict,
     write_trace_json,
 )
+from repro.observability.metrics import HISTOGRAM_SAMPLES
 from repro.runtime.scheduler import Priority, RequestScheduler
 
 
@@ -228,6 +229,18 @@ class TestMetricsRegistry:
         assert snap["p50"] == 50.0  # nearest-rank
         assert snap["p90"] == 90.0
         assert snap["p99"] == 99.0
+
+    def test_percentiles_read_only_the_recent_reservoir(self):
+        hist = MetricsRegistry().histogram("h")
+        for value in (1000.0, 1.0):
+            for _ in range(HISTOGRAM_SAMPLES):
+                hist.observe(value)
+        snap = hist.value()
+        # Count, sum and extremes are exact over every observation; the
+        # percentiles only see the last HISTOGRAM_SAMPLES of them.
+        assert snap["count"] == 2 * HISTOGRAM_SAMPLES
+        assert snap["max"] == 1000.0
+        assert snap["p99"] == 1.0
 
     def test_snapshot_consistent_under_concurrent_writers(self):
         registry = MetricsRegistry()

@@ -22,6 +22,9 @@ from repro.cli import main as cli_main
 from repro.docmodel import Document
 from repro.llm.base import DEFAULT_MODELS, get_model_spec
 from repro.luna.executor import ExecutionTrace, TraceEntry
+from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.partitioner import ArynPartitioner
+from repro.sycamore import SycamoreContext
 from repro.luna.operators import (
     CASCADE_ELIGIBLE_OPERATIONS,
     SHARDABLE_OPERATIONS,
@@ -485,7 +488,9 @@ class _ScriptedLLM:
 
 
 def scripted_context(llm):
-    return SimpleNamespace(llm_for=lambda priority: llm, default_model="sim-large")
+    return SimpleNamespace(
+        llm_for=lambda priority: llm, default_model="sim-large", registry=MetricsRegistry()
+    )
 
 
 class TestCascadeSemantics:
@@ -577,6 +582,29 @@ class TestCascadeSemantics:
         out = extract(self.DOC)
         assert out.properties["state"] == "AK"
         assert len(llm.by_model("sim-large")) == 0
+
+    def test_counters_go_to_the_context_registry(self, ntsb_corpus):
+        """A context with its own registry sees its cascade's drafts and
+        escalations; the process registry sees none of them."""
+        _, raws = ntsb_corpus
+        registry = MetricsRegistry()
+        process = get_registry()
+        names = ("optimizer.cascade_drafts", "optimizer.cascade_escalations")
+        before = [process.counter(name).value() for name in names]
+        with SycamoreContext(seed=0, registry=registry) as ctx:
+            (
+                ctx.read.raw(raws[:8])
+                .partition(ArynPartitioner(seed=0))
+                .extract_properties({"state": "string"}, model="sim-oracle")
+                .write.index("ntsb")
+            )
+            result = Luna(ctx, policy="cascade").query(
+                "How many incidents were caused by wind?", index="ntsb"
+            )
+        assert any("cascade" in node.params for node in result.optimized_plan.nodes)
+        drafts = registry.counter("optimizer.cascade_drafts").value()
+        assert drafts >= 8 * CASCADE_POLICY.cascade_votes
+        assert [process.counter(name).value() for name in names] == before
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@
 (the cost pass that held it as ``.base``) are the parent commit's classes,
 kept here as the reference. On generated plans the single pipeline must
 produce the same optimized plan byte for byte, for every shipped policy,
-with and without learned statistics; the one intended difference (the
-reorder switch now really is an off switch) is pinned on its own. A
+with and without learned statistics. Two differences are intended: the
+reorder switch now really is an off switch (pinned on its own), and a
+filter after a fan-out point starts a chain in both (the reference's one
+edit, pinned by ``FAN_OUT``). A
 second property executes plans: reordering and scan-folding change what
 runs, never what it answers.
 """
@@ -68,7 +70,15 @@ class ReferenceLunaOptimizer:
             if index in used or node.operation not in _FILTER_OPS:
                 continue
             prev = node.inputs[0] if node.inputs else None
-            if prev is not None and plan.nodes[prev].operation in _FILTER_OPS:
+            # The one edit to the parent's rule: a filter after a fan-out
+            # point starts a chain. The parent skipped it, and reached it
+            # only when fusion had already turned the fan-out filter into
+            # an Identity (see FAN_OUT below).
+            if (
+                prev is not None
+                and plan.nodes[prev].operation in _FILTER_OPS
+                and plan.consumers_of(prev) == [index]
+            ):
                 continue
             chain = [index]
             used.add(index)
@@ -367,10 +377,29 @@ TRAP = LogicalPlan.from_json(
     ]
 )
 
+#: Figure 5's percentage shape: the third filter feeds both a Count and a
+#: second two-filter stage. Hypothesis found it at seeds 125 and 153: the
+#: stage after the fan-out was never a chain, so it was neither reordered
+#: nor fused.
+FAN_OUT = LogicalPlan.from_json(
+    [
+        {"operation": "QueryIndex", "inputs": [], "index": "luna"},
+        {"operation": "LlmFilter", "inputs": [0], "condition": "during landing"},
+        {"operation": "LlmFilter", "inputs": [1], "condition": "caused by wind"},
+        {"operation": "LlmFilter", "inputs": [2], "condition": "involving icing"},
+        {"operation": "Count", "inputs": [3]},
+        {"operation": "LlmFilter", "inputs": [3], "condition": "caused by wind"},
+        {"operation": "LlmFilter", "inputs": [5], "condition": "involving icing"},
+        {"operation": "Count", "inputs": [6]},
+        {"operation": "Math", "inputs": [4, 7], "expression": "100 * #7 / #4"},
+    ]
+)
+
 
 class TestSamePlansAsTheTwoClassStack:
     @given(optimizer_plans)
     @example(TRAP)
+    @example(FAN_OUT)
     @settings(max_examples=300, deadline=None)
     def test_every_policy_with_and_without_statistics(self, plan):
         for policy in VARIANTS:
@@ -385,6 +414,7 @@ class TestSamePlansAsTheTwoClassStack:
 
     @given(optimizer_plans)
     @example(TRAP)
+    @example(FAN_OUT)
     @settings(max_examples=150, deadline=None)
     def test_reorder_off_moves_no_node(self, plan):
         """The intended difference: the parent's cost pass reordered even
@@ -423,6 +453,21 @@ class TestSamePlansAsTheTwoClassStack:
         assert [n.params.get("condition") for n in apart.nodes[1:4]] == [
             None, "during landing", "caused by wind"
         ]
+
+    def test_the_stage_after_a_fan_out_is_a_chain(self):
+        fused, _, _ = CostBasedOptimizer("balanced", stats=STATS).optimize_with_report(
+            FAN_OUT, schema=SCHEMA
+        )
+        assert [n.operation for n in fused.nodes[5:7]] == ["LlmFilter", "Identity"]
+        assert fused.nodes[5].params["condition"] == "caused by wind and involving icing"
+        assert fused.nodes[5].inputs == [3]  # the fan-out point itself never moves
+        apart, log, _ = CostBasedOptimizer("quality", stats=STATS).optimize_with_report(
+            FAN_OUT, schema=SCHEMA
+        )
+        assert [n.params["condition"] for n in apart.nodes[5:7]] == [
+            "involving icing", "caused by wind"
+        ]
+        assert "reorder: filter chain 5->6" in "\n".join(log)
 
     def test_statistics_rank_as_described(self):
         model = CostModel(STATS)
