@@ -1,20 +1,14 @@
 """Project-specific static analysis for the repro codebase.
 
-Five coordinated parts (see DESIGN.md §11 and docs/ANALYSIS.md):
+Three parts (see DESIGN.md §11 and docs/ANALYSIS.md):
 
-* :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — a
-  rule-based AST lint engine tuned to the bug classes that kill a
-  heavily threaded LLM-serving stack: blocking calls under locks,
-  leaked executors and threads, dropped futures, metric-name drift,
-  and wall-clock timing where monotonic clocks are required.
-* :mod:`repro.analysis.crossmod` — whole-program analysis: one
-  :class:`~repro.analysis.crossmod.ProjectIndex` pass over every
-  module, powering the interprocedural ``xlint`` rules (lock-order
-  inversion, future escape, prompt taint, event-loop blockers).
-* :mod:`repro.analysis.locksmith` — the runtime lock-order sanitizer:
-  monitored ``threading.Lock``/``RLock`` wrappers that record the
-  acquisition-order graph live and fail tests on observed inversions;
-  cross-checked against the static lock graph.
+* **One lint** — :mod:`repro.analysis.engine` holds the rule registry
+  and the runner behind ``python -m repro lint``. Every file is parsed
+  once; the single-file rules (:mod:`repro.analysis.rules`: blocking
+  calls under locks, metric-name drift, wall-clock timing, unbounded
+  waits on hot paths, ...) run on each tree, and the whole-program rules
+  (:mod:`repro.analysis.crossmod`: lock-order inversion, future escape,
+  prompt taint) run on one project index built from the same trees.
 * :mod:`repro.analysis.plancheck` — a static validator for Luna
   :class:`~repro.luna.operators.LogicalPlan` DAGs, run by the planner
   (reject + replan), the executor (structural gate), and the serving
@@ -24,20 +18,19 @@ Five coordinated parts (see DESIGN.md §11 and docs/ANALYSIS.md):
 """
 
 from .engine import (
-    Baseline,
-    BaselineEntry,
     Finding,
     FileContext,
     LintReport,
+    ProgramRule,
     Rule,
     RULES,
+    lint_files,
     lint_paths,
     lint_source,
-    load_baseline,
+    load_rules,
+    read_files,
     register,
-    write_baseline,
 )
-from .sarif import to_sarif, write_sarif
 from .plancheck import (
     PlanCheckError,
     PlanCheckIssue,
@@ -45,23 +38,20 @@ from .plancheck import (
     check_plan,
     ensure_valid_plan,
 )
-from . import rules as _rules  # noqa: F401  (importing registers the rules)
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "FileContext",
     "LintReport",
+    "ProgramRule",
     "Rule",
     "RULES",
+    "lint_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
+    "load_rules",
+    "read_files",
     "register",
-    "write_baseline",
-    "to_sarif",
-    "write_sarif",
     "PlanCheckError",
     "PlanCheckIssue",
     "PlanCheckReport",
@@ -69,6 +59,5 @@ __all__ = [
     "ensure_valid_plan",
 ]
 
-# NOTE: repro.analysis.crossmod and repro.analysis.locksmith are
-# imported lazily by their consumers (CLI xlint, tests) — crossmod pulls
-# in the whole-program indexer, which nothing on the serving path needs.
+# The rule modules (repro.analysis.rules, repro.analysis.crossmod) load
+# on the first lint run (load_rules): nothing on the query path needs them.

@@ -1,30 +1,27 @@
-"""Whole-program analysis: one :class:`ProjectIndex` pass, four rules.
+"""Whole-program rules over one :class:`ProjectIndex`.
 
-Where :mod:`repro.analysis.rules` sees one file at a time, this package
-parses every module of the program once and runs *interprocedural*
-rules over the result:
+Where :mod:`repro.analysis.rules` sees one file at a time, the rules
+here see every linted module at once, through the index the lint runner
+builds from the same parse, and follow facts across function and module
+boundaries:
 
 * ``lock-order-inversion`` — cycles in the global lock-acquisition-order
-  graph (:mod:`.lockorder`), cross-checkable against the runtime
-  :mod:`repro.analysis.locksmith` sanitizer;
+  graph (:mod:`.lockorder`);
 * ``future-escape`` — futures that cross a function/module boundary and
   are dropped on a hot path (:mod:`.dataflow`);
-* ``prompt-taint`` / ``unjustified-taint-safe`` — untrusted text
-  reaching prompt construction unsanitized (:mod:`.taint`);
-* ``event-loop-blocker`` — blocking primitives reachable from dispatch
-  loops: the computed asyncio-migration worklist (:mod:`.blockers`).
+* ``prompt-taint`` — untrusted text reaching prompt construction
+  unsanitized (:mod:`.taint`).
 
-Entry point: ``python -m repro xlint`` or :func:`xlint_paths`.
+Entry point: ``python -m repro lint`` or
+:func:`repro.analysis.lint_paths`.
 """
 
 from .index import ProjectIndex, FunctionInfo, ClassInfo, ModuleInfo, LockDecl
-from .runner import CrossRule, XRULES, xregister, xlint_paths, build_index
 
-# Importing the rule modules registers them in XRULES.
+# Importing the rule modules registers them in repro.analysis.RULES.
 from . import lockorder  # noqa: F401  (registers lock-order-inversion)
 from . import dataflow  # noqa: F401  (registers future-escape)
-from . import taint  # noqa: F401  (registers prompt-taint, unjustified-taint-safe)
-from . import blockers  # noqa: F401  (registers event-loop-blocker)
+from . import taint  # noqa: F401  (registers prompt-taint)
 
 from .lockorder import LockOrderGraph, build_lock_graph
 
@@ -34,11 +31,6 @@ __all__ = [
     "ClassInfo",
     "ModuleInfo",
     "LockDecl",
-    "CrossRule",
-    "XRULES",
-    "xregister",
-    "xlint_paths",
-    "build_index",
     "LockOrderGraph",
     "build_lock_graph",
 ]

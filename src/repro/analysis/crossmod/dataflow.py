@@ -28,11 +28,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from ..engine import Finding
+from ..engine import Finding, ProgramRule, register
 from .index import FunctionInfo, ProjectIndex
-from .runner import CrossRule, xregister
 
-__all__ = ["FutureEscape", "future_producers", "own_nodes"]
+__all__ = ["FutureEscape", "future_producers"]
 
 
 def own_nodes(fn: FunctionInfo) -> Iterator[ast.AST]:
@@ -140,8 +139,8 @@ def _forwards_producer_return(
 _CONSUMERS = {"result", "exception", "cancel", "add_done_callback", "done", "running"}
 
 
-@xregister
-class FutureEscape(CrossRule):
+@register
+class FutureEscape(ProgramRule):
     id = "future-escape"
     description = (
         "A future minted in another function/module is discarded or "

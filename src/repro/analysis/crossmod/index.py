@@ -1,25 +1,24 @@
-"""The whole-program :class:`ProjectIndex` behind ``repro xlint``.
+"""The whole-program :class:`ProjectIndex` behind the program rules.
 
-PR 5's linter deliberately looks at one file at a time; every rule in
-:mod:`repro.analysis.rules` must reach its verdict from a single AST.
-The bugs that survive that filter are *cross-module by construction*: a
-future minted in ``runtime`` is swallowed in ``serving``, a lock taken
-in ``llm/client.py`` nests under one held in ``observability``, a
-document body read in ``docmodel`` is interpolated into a planner
-prompt three imports away. Those need one index of the whole program.
+A single-file rule (:mod:`repro.analysis.rules`) must reach its verdict
+from one AST. The bugs that survive that filter are *cross-module by
+construction*: a future minted in ``runtime`` is swallowed in
+``serving``, a lock taken in ``llm/client.py`` nests under one held in
+``observability``, a document body read in ``docmodel`` is interpolated
+into a planner prompt three imports away. Those need one index of the
+whole program.
 
-The index parses every module exactly once and layers four resolution
-tables on top of the raw ASTs:
+The index is built from the trees the lint runner already parsed (each
+file is parsed once per run) and layers four resolution tables on top:
 
-* **Module table** — dotted module names, sources, per-module import
-  maps (``local name -> "pkg.module"`` or ``"pkg.module:Symbol"``),
-  with relative imports resolved against the importing package.
+* **Module table** — dotted module names and per-module import maps
+  (``local name -> "pkg.module"`` or ``"pkg.module:Symbol"``), with
+  relative imports resolved against the importing package.
 * **Class table** — per-class method tables, resolved base classes,
   the *attribute type table* (``self._scheduler = RequestScheduler(...)``
   records ``_scheduler -> repro.runtime.scheduler:RequestScheduler``),
   and the *lock table* (every ``threading.Lock/RLock/Condition/
-  Semaphore`` attribute, with the creation site that the runtime
-  :mod:`~repro.analysis.locksmith` sanitizer keys on).
+  Semaphore`` attribute, with its creation site).
 * **Function table** — module functions, methods, and *nested*
   functions (the per-document closures built by transform factories
   are where prompt assembly actually happens).
@@ -40,9 +39,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..engine import iter_python_files, _parse_suppressions
+if TYPE_CHECKING:
+    from ..engine import FileContext
 
 __all__ = [
     "CallEdge",
@@ -70,8 +81,7 @@ class LockDecl:
 
     ``lock_id`` is the global node name used by the lock-order graph
     (``module:Class.attr`` or ``module:name``); ``path``/``line`` is the
-    creation site, which doubles as the join key against runtime
-    acquisitions observed by the locksmith sanitizer.
+    creation site.
     """
 
     lock_id: str
@@ -116,14 +126,12 @@ class ModuleInfo:
 
     name: str
     path: str
-    source: str
     tree: ast.Module
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     module_locks: Dict[str, LockDecl] = field(default_factory=dict)
     var_types: Dict[str, str] = field(default_factory=dict)  #: module var -> ``module:Class``
-    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -145,33 +153,22 @@ class ProjectIndex:
         self.locks: Dict[str, LockDecl] = {}
         #: caller qualname -> outgoing resolved edges (sorted by line).
         self.calls: Dict[str, List[CallEdge]] = {}
-        #: callee qualname -> incoming resolved edges.
-        self.callers: Dict[str, List[CallEdge]] = {}
+        self._ctor_memo: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, paths: Iterable[Union[str, Path]]) -> "ProjectIndex":
-        """Parse every ``.py`` file under ``paths`` and build all tables."""
+    def build(cls, files: Iterable["FileContext"]) -> "ProjectIndex":
+        """Build all tables over already-parsed files (a file that does
+        not parse is left out; the runner reports it)."""
         index = cls()
-        files = list(iter_python_files(paths))
-        for file_path in files:
-            source = file_path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=str(file_path))
-            except SyntaxError:
-                continue  # the single-file linter reports these
-            name = _module_name_for(file_path)
-            info = ModuleInfo(
-                name=name,
-                path=str(file_path),
-                source=source,
-                tree=tree,
-                suppressions=_parse_suppressions(source),
-            )
-            index.modules[name] = info
+        for ctx in files:
+            if ctx.syntax_error is not None:
+                continue
+            name = _module_name_for(Path(ctx.path))
+            index.modules[name] = ModuleInfo(name=name, path=ctx.path, tree=ctx.tree)
         for info in index.modules.values():
             index._collect_imports(info)
             index._collect_definitions(info)
@@ -182,7 +179,6 @@ class ProjectIndex:
         return index
 
     def _collect_imports(self, info: ModuleInfo) -> None:
-        package = info.name.rpartition(".")[0]
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -207,7 +203,6 @@ class ProjectIndex:
                     # is decided later, when targets are looked up; encode
                     # both candidates as module:Symbol and resolve lazily.
                     info.imports[local] = f"{base}:{alias.name}"
-        _ = package  # (kept for symmetry; relative resolution used info.name)
 
     def _collect_definitions(self, info: ModuleInfo) -> None:
         def visit_function(
@@ -485,6 +480,27 @@ class ProjectIndex:
             return self.resolve_symbol(info, ann)
         return None
 
+    def _local_ctors(self, fn: FunctionInfo) -> Dict[str, str]:
+        """``name -> class`` for ``name = KnownClass(...)`` assignments in
+        ``fn`` (first one wins), computed once per function."""
+        ctors = self._ctor_memo.get(fn.qualname)
+        if ctors is None:
+            ctors = {}
+            info = self.modules[fn.module]
+            for node in ast.walk(fn.node):
+                if (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id not in ctors
+                    and isinstance(node.value, ast.Call)
+                ):
+                    ctor = self.resolve_symbol(info, node.value.func)
+                    if ctor in self.classes:
+                        ctors[node.targets[0].id] = ctor
+            self._ctor_memo[fn.qualname] = ctors
+        return ctors
+
     def resolve_type(self, fn: FunctionInfo, expr: ast.AST) -> Optional[str]:
         """Resolve an expression inside ``fn`` to a class qualname (for
         instances) or a module name (for module aliases)."""
@@ -503,17 +519,9 @@ class ProjectIndex:
                     if resolved is not None:
                         return resolved
             # Local assignment from a known constructor?
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == expr.id
-                    and isinstance(node.value, ast.Call)
-                ):
-                    ctor = self.resolve_symbol(info, node.value.func)
-                    if ctor in self.classes:
-                        return ctor
+            ctor = self._local_ctors(fn).get(expr.id)
+            if ctor is not None:
+                return ctor
             # Module-level var or module alias.
             if expr.id in info.var_types:
                 return info.var_types[expr.id]
@@ -657,46 +665,9 @@ class ProjectIndex:
                 ]
             edges.sort(key=lambda e: e.line)
             self.calls[fn.qualname] = edges
-            for edge in edges:
-                self.callers.setdefault(edge.callee, []).append(edge)
 
     def callees_of(self, qualname: str) -> List[CallEdge]:
         return self.calls.get(qualname, [])
-
-    # ------------------------------------------------------------------
-    # Queries used by rules and CLI scoping
-    # ------------------------------------------------------------------
-
-    def is_suppressed(self, path: str, rule_id: str, line: int) -> bool:
-        """Engine-style ``# repro: lint-ignore`` suppression lookup."""
-        for info in self.modules.values():
-            if info.path == path:
-                for candidate in (line, line - 1):
-                    rules = info.suppressions.get(candidate)
-                    if rules is not None and ("*" in rules or rule_id in rules):
-                        return True
-                return False
-        return False
-
-    def module_of_path(self, path: str) -> Optional[ModuleInfo]:
-        for info in self.modules.values():
-            if info.path == path:
-                return info
-        return None
-
-    def module_neighbourhood(self, changed_modules: Set[str]) -> Set[str]:
-        """Changed modules plus every module with a resolved call edge
-        into or out of them — the touched call-graph slice."""
-        result = set(changed_modules)
-        for caller, edges in self.calls.items():
-            caller_mod = caller.split(":", 1)[0]
-            for edge in edges:
-                callee_mod = edge.callee.split(":", 1)[0]
-                if caller_mod in changed_modules:
-                    result.add(callee_mod)
-                if callee_mod in changed_modules:
-                    result.add(caller_mod)
-        return result
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qualname in sorted(self.functions):

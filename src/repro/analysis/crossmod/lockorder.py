@@ -8,11 +8,7 @@ another module that eventually takes B contributes the same edge, which
 is exactly the shape single-file analysis cannot see. A cycle in the
 graph is a potential deadlock: two threads entering the cycle from
 different edges can each hold one lock and wait forever for the other.
-
-The static graph shares its node identity (lock creation sites) with
-the runtime :mod:`~repro.analysis.locksmith` sanitizer, so observed
-runtime inversions and static cycles can be cross-checked in one
-report (``xlint --runtime-report``).
+Unlike a runtime monitor, the rule sees orders no test exercises.
 
 Approximations, chosen to keep false positives low:
 
@@ -31,9 +27,8 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..engine import Finding
+from ..engine import Finding, ProgramRule, register
 from .index import FunctionInfo, LockDecl, ProjectIndex
-from .runner import CrossRule, xregister
 
 __all__ = ["LockOrderGraph", "LockEdge", "build_lock_graph", "LockOrderInversion"]
 
@@ -326,8 +321,8 @@ def _short(qualname: str) -> str:
     return f"{module.rsplit('.', 1)[-1]}:{rest}" if rest else qualname
 
 
-@xregister
-class LockOrderInversion(CrossRule):
+@register
+class LockOrderInversion(ProgramRule):
     id = "lock-order-inversion"
     description = (
         "A cycle in the global lock-acquisition-order graph: two threads "

@@ -31,30 +31,20 @@ those sinks.
 **Sanitizer** — :func:`repro.llm.prompts.neutralize_markers` (and any
 name in :data:`SANITIZERS`): escapes line-initial task/section markers
 so untrusted text cannot close its section. Passing a value through a
-sanitizer clears its taint.
-
-**Escape hatch** — ``# repro: taint-safe[reason]`` on the sink line (or
-the line above) accepts the flow; the written reason is mandatory — a
-bare ``taint-safe`` tag is itself a finding (``unjustified-taint-safe``).
+sanitizer clears its taint. An accepted flow takes the one suppression
+syntax, ``# repro: lint-ignore[prompt-taint]``.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..engine import Finding
-from .dataflow import own_nodes
+from ..engine import Finding, ProgramRule, register
 from .index import FunctionInfo, ModuleInfo, ProjectIndex
-from .runner import CrossRule, xregister
 
-__all__ = ["PromptTaint", "UnjustifiedTaintSafe", "TAINT_SAFE_RE", "SANITIZERS"]
-
-#: ``# repro: taint-safe[reason]`` — reason text is mandatory.
-TAINT_SAFE_RE = re.compile(r"#\s*repro:\s*taint-safe(?:\[([^\]]*)\])?")
+__all__ = ["PromptTaint", "SANITIZERS"]
 
 #: Declared sanitizers: routing untrusted text through one of these
 #: clears its taint (see repro.llm.prompts.neutralize_markers).
@@ -109,27 +99,6 @@ _COMPLETE_CALLS = {"complete", "complete_json", "complete_many"}
 #: Methods that put their arguments into the receiver: ``parts.append(x)``
 #: leaves ``parts`` carrying whatever ``x`` carried.
 _CONTAINER_MUTATORS = {"append", "appendleft", "extend", "insert", "add", "update"}
-
-
-def _parse_taint_safe(source: str) -> Dict[int, Optional[str]]:
-    """line -> justification (None/empty for a bare tag).
-
-    Scans real ``#`` comments via :mod:`tokenize` — a line-scanning
-    regex would also match the tag spelled inside string literals
-    (error messages, docs, this very analyzer)."""
-    tags: Dict[int, Optional[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = TAINT_SAFE_RE.search(token.string)
-            if match is not None:
-                reason = match.group(1)
-                tags[token.start[0]] = reason.strip() if reason else None
-    except (tokenize.TokenizeError, IndentationError):  # pragma: no cover
-        pass
-    return tags
 
 
 class _FunctionTaint:
@@ -498,8 +467,8 @@ def _analyze_program(
     return source_sinks, sink_params, taint_returners
 
 
-@xregister
-class PromptTaint(CrossRule):
+@register
+class PromptTaint(ProgramRule):
     id = "prompt-taint"
     description = (
         "Untrusted text (document bodies, gateway request input) is "
@@ -510,11 +479,7 @@ class PromptTaint(CrossRule):
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
         source_sinks, _, _ = _analyze_program(index)
         for path in sorted(source_sinks):
-            info = index.module_of_path(path)
-            tags = _parse_taint_safe(info.source) if info is not None else {}
             for line in sorted(set(source_sinks[path])):
-                if _tag_covers(tags, line):
-                    continue
                 yield self.finding(
                     path=path,
                     line=line,
@@ -523,41 +488,6 @@ class PromptTaint(CrossRule):
                         "untrusted text reaches prompt construction without "
                         "neutralize_markers(); a document/request containing "
                         "<<SECTION:...>> markers can inject its own prompt "
-                        "sections (add the sanitizer or a "
-                        "'# repro: taint-safe[reason]' justification)"
+                        "sections"
                     ),
                 )
-
-
-def _tag_covers(tags: Dict[int, Optional[str]], line: int) -> bool:
-    """A taint-safe tag on the line or the line above covers the sink —
-    but only when it carries a justification (bare tags are findings)."""
-    for candidate in (line, line - 1):
-        if candidate in tags and tags[candidate]:
-            return True
-    return False
-
-
-@xregister
-class UnjustifiedTaintSafe(CrossRule):
-    id = "unjustified-taint-safe"
-    description = (
-        "A '# repro: taint-safe' tag without a written justification: "
-        "the escape hatch requires a reason ('taint-safe[reason]') so "
-        "accepted injection risks stay reviewable."
-    )
-
-    def check(self, index: ProjectIndex) -> Iterator[Finding]:
-        for name in sorted(index.modules):
-            info = index.modules[name]
-            for line, reason in sorted(_parse_taint_safe(info.source).items()):
-                if not reason:
-                    yield self.finding(
-                        path=info.path,
-                        line=line,
-                        col=0,
-                        message=(
-                            "bare 'taint-safe' tag: a justification is "
-                            "required — write '# repro: taint-safe[reason]'"
-                        ),
-                    )

@@ -1,46 +1,60 @@
-"""The lint engine: file parsing, rule registry, suppressions, baseline.
+"""The lint engine: one registry, one parse per file, one runner.
 
-A :class:`Rule` inspects one parsed file (:class:`FileContext`) and
-yields :class:`Finding` objects. Rules register themselves in
-:data:`RULES` via the :func:`register` decorator (see
-:mod:`repro.analysis.rules` for the catalog).
+Two kinds of rule share the registry :data:`RULES` (both register with
+the :func:`register` decorator):
 
-Two escape hatches keep the linter honest on a real codebase:
+* a :class:`Rule` inspects one parsed file (:class:`FileContext`) and
+  yields :class:`Finding` objects (catalog: :mod:`repro.analysis.rules`);
+* a :class:`ProgramRule` inspects the whole-program
+  :class:`~repro.analysis.crossmod.ProjectIndex` (catalog:
+  :mod:`repro.analysis.crossmod`).
 
-* **Inline suppressions** — ``# repro: lint-ignore[rule-id]`` on the
-  offending line (or the line directly above) silences that rule there.
-  A bare ``# repro: lint-ignore`` silences every rule. Suppressions are
-  deliberate, reviewable markers for false positives and by-design
-  exceptions (e.g. a semaphore released by a different thread).
-* **Baseline** — a committed JSON file of known findings. Findings
-  matching the baseline are reported separately and do not fail the
-  run, so the linter can be adopted without fixing the world first; new
-  violations still fail CI.
+:func:`lint_files` is the runner. It runs the single-file rules on each
+file and builds the project index from the same parsed trees, so a run
+parses every file exactly once. A file that does not parse is reported
+once, as a ``syntax-error`` finding, and no rule sees it.
+
+One escape hatch covers both kinds: ``# repro: lint-ignore[rule-id]`` on
+the offending line (or the line directly above) silences that rule
+there, and a bare ``# repro: lint-ignore`` silences every rule.
+Suppressions are deliberate, reviewable markers for false positives and
+by-design exceptions (e.g. a semaphore released by a different thread).
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
+
+if TYPE_CHECKING:
+    from .crossmod.index import ProjectIndex
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "FileContext",
     "LintReport",
+    "ProgramRule",
     "Rule",
     "RULES",
-    "lint_file",
+    "lint_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
+    "load_rules",
+    "read_files",
     "register",
-    "write_baseline",
 ]
 
 #: Matches ``# repro: lint-ignore`` / ``# repro: lint-ignore[a, b]``.
@@ -60,10 +74,6 @@ class Finding:
     col: int
     message: str
 
-    def identity(self) -> str:
-        """Baseline key: stable across unrelated line-number drift."""
-        return f"{self.path}::{self.rule}::{self.message}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
@@ -78,12 +88,20 @@ class Finding:
 
 
 class FileContext:
-    """One parsed source file plus its suppression map."""
+    """One parsed source file plus its suppression map.
+
+    A file that does not parse keeps its :class:`SyntaxError` in
+    ``syntax_error`` and an empty ``tree``.
+    """
 
     def __init__(self, path: str, source: str):
         self.path = path
-        self.source = source
-        self.tree: ast.Module = ast.parse(source, filename=path)
+        self.syntax_error: Optional[SyntaxError] = None
+        try:
+            self.tree: ast.Module = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            self.tree = ast.Module(body=[], type_ignores=[])
+            self.syntax_error = exc
         self.suppressions: Dict[int, Set[str]] = _parse_suppressions(source)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
@@ -112,8 +130,8 @@ def _parse_suppressions(source: str) -> Dict[int, Set[str]]:
 
 
 class Rule:
-    """Base class for lint rules. Subclasses set ``id``/``description``
-    and implement :meth:`check`."""
+    """Base class for single-file rules. Subclasses set
+    ``id``/``description`` and implement :meth:`check`."""
 
     id: str = ""
     description: str = ""
@@ -134,8 +152,23 @@ class Rule:
         )
 
 
-#: The process-wide rule registry, id -> instance.
-RULES: Dict[str, Rule] = {}
+class ProgramRule:
+    """Base class for whole-program rules: :meth:`check` sees the
+    :class:`~repro.analysis.crossmod.ProjectIndex` of every linted file."""
+
+    id: str = ""
+    description: str = ""
+
+    def check(self, index: "ProjectIndex") -> Iterator[Finding]:
+        raise NotImplementedError
+
+    def finding(self, path: str, line: int, col: int, message: str) -> Finding:
+        return Finding(rule=self.id, path=path, line=line, col=col, message=message)
+
+
+#: The rule registry, id -> instance, for both kinds of rule. Importing
+#: a rule module fills it; :func:`load_rules` imports them all.
+RULES: Dict[str, Union[Rule, ProgramRule]] = {}
 
 
 def register(cls: type) -> type:
@@ -147,6 +180,17 @@ def register(cls: type) -> type:
     return cls
 
 
+def load_rules() -> Dict[str, Union[Rule, ProgramRule]]:
+    """Import every rule module and return the full :data:`RULES`.
+
+    Done on first use, not at package import: the query path imports
+    :mod:`repro.analysis` for plan validation and needs no lint rule.
+    """
+    from . import crossmod, rules  # noqa: F401  (importing registers the rules)
+
+    return RULES
+
+
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
@@ -154,21 +198,12 @@ def register(cls: type) -> type:
 
 @dataclass
 class LintReport:
-    """The outcome of one lint run.
-
-    ``findings`` are actionable violations (exit non-zero); ``baselined``
-    matched the committed baseline; ``suppressed`` were silenced inline;
-    ``stale`` are baseline entries whose file::rule no longer fires (the
-    suppression has rotted and should be deleted); ``out_of_scope``
-    counts findings dropped by ``--changed``/``--since`` slice scoping.
-    """
+    """The outcome of one lint run: ``findings`` fail the run,
+    ``suppressed`` counts findings silenced inline."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
-    stale: List[str] = field(default_factory=list)
-    out_of_scope: int = 0
 
     @property
     def ok(self) -> bool:
@@ -179,87 +214,30 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "out_of_scope": self.out_of_scope,
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline_entries": list(self.stale),
         }
 
     def render(self) -> str:
         lines = [f.render() for f in self.findings]
-        summary = (
+        lines.append(
             f"{len(self.findings)} finding(s) in {self.files_checked} file(s) "
-            f"({len(self.baselined)} baselined, {self.suppressed} suppressed"
+            f"({self.suppressed} suppressed)"
         )
-        if self.out_of_scope:
-            summary += f", {self.out_of_scope} outside the changed slice"
-        summary += ")"
-        lines.append(summary)
-        if self.stale:
-            lines.append(
-                f"{len(self.stale)} stale baseline entr"
-                f"{'y' if len(self.stale) == 1 else 'ies'} "
-                f"(no longer fire; regenerate with --update-baseline):"
-            )
-            lines.extend(f"  {identity}" for identity in self.stale)
         return "\n".join(lines)
 
 
-def _selected_rules(rules: Optional[Iterable[str]]) -> List[Rule]:
+def _selected_rules(
+    rules: Optional[Iterable[str]],
+) -> List[Union[Rule, ProgramRule]]:
+    registry = load_rules()
     if rules is None:
-        return list(RULES.values())
+        return [registry[rule_id] for rule_id in sorted(registry)]
     selected = []
     for rule_id in rules:
-        if rule_id not in RULES:
-            raise KeyError(f"unknown rule {rule_id!r}; known: {sorted(RULES)}")
-        selected.append(RULES[rule_id])
+        if rule_id not in registry:
+            raise KeyError(f"unknown rule {rule_id!r}; known: {sorted(registry)}")
+        selected.append(registry[rule_id])
     return selected
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Iterable[str]] = None,
-) -> List[Finding]:
-    """Lint one source string; suppressed findings are dropped."""
-    report = LintReport()
-    findings = _lint_context(source, path, _selected_rules(rules), report)
-    return findings
-
-
-def _lint_context(
-    source: str, path: str, rules: Sequence[Rule], report: LintReport
-) -> List[Finding]:
-    try:
-        ctx = FileContext(path, source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="syntax-error",
-                path=path,
-                line=exc.lineno or 0,
-                col=exc.offset or 0,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if ctx.is_suppressed(finding.rule, finding.line):
-                report.suppressed += 1
-                continue
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(
-    path: Union[str, Path], rules: Optional[Iterable[str]] = None
-) -> List[Finding]:
-    """Lint one file on disk."""
-    report = LintReport()
-    source = Path(path).read_text(encoding="utf-8")
-    return _lint_context(source, str(path), _selected_rules(rules), report)
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
@@ -277,181 +255,72 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> Iterator[Path]:
                 yield candidate
 
 
-def lint_paths(
-    paths: Iterable[Union[str, Path]],
-    rules: Optional[Iterable[str]] = None,
-    baseline: Optional[Union[Set[str], "Baseline"]] = None,
-) -> LintReport:
-    """Lint files/directories against an optional baseline.
+def read_files(paths: Iterable[Union[str, Path]]) -> List[FileContext]:
+    """Parse every ``.py`` file under ``paths``, once."""
+    return [
+        FileContext(str(path), path.read_text(encoding="utf-8"))
+        for path in iter_python_files(paths)
+    ]
 
-    ``baseline`` may be a plain identity set (legacy) or a
-    :class:`Baseline`; with a :class:`Baseline`, entries survive file
-    moves (basename fallback) and entries that no longer fire are
-    reported as stale.
+
+def lint_files(
+    files: Sequence[FileContext], rules: Optional[Iterable[str]] = None
+) -> LintReport:
+    """Run the selected rules (default: all) over parsed files.
+
+    Single-file rules run on each file; whole-program rules run on one
+    :class:`~repro.analysis.crossmod.ProjectIndex` built from the same
+    trees.
     """
-    report = LintReport()
     selected = _selected_rules(rules)
-    if baseline is None:
-        baseline = Baseline()
-    elif isinstance(baseline, set):
-        baseline = Baseline.from_identities(baseline)
-    checked_paths: Set[str] = set()
-    for path in iter_python_files(paths):
-        report.files_checked += 1
-        checked_paths.add(str(path))
-        source = path.read_text(encoding="utf-8")
-        for finding in _lint_context(source, str(path), selected, report):
-            if baseline.match(finding):
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-    report.stale = baseline.stale_entries(checked_paths)
+    report = LintReport(files_checked=len(files))
+    by_path = {ctx.path: ctx for ctx in files}
+    raw: List[Finding] = []
+    for ctx in files:
+        if ctx.syntax_error is not None:
+            exc = ctx.syntax_error
+            report.findings.append(
+                Finding(
+                    rule="syntax-error",
+                    path=ctx.path,
+                    line=exc.lineno or 0,
+                    col=exc.offset or 0,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        for rule in selected:
+            if isinstance(rule, Rule):
+                raw.extend(rule.check(ctx))
+    program_rules = [rule for rule in selected if isinstance(rule, ProgramRule)]
+    if program_rules:
+        from .crossmod.index import ProjectIndex
+
+        index = ProjectIndex.build(files)
+        for program_rule in program_rules:
+            raw.extend(program_rule.check(index))
+    for finding in raw:
+        ctx = by_path.get(finding.path)
+        if ctx is not None and ctx.is_suppressed(finding.rule, finding.line):
+            report.suppressed += 1
+        else:
+            report.findings.append(finding)
+    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
+def lint_paths(
+    paths: Iterable[Union[str, Path]], rules: Optional[Iterable[str]] = None
+) -> LintReport:
+    """Lint every ``.py`` file under ``paths`` as one program."""
+    return lint_files(read_files(paths), rules)
 
 
-@dataclass
-class BaselineEntry:
-    """One accepted finding. ``justification`` is required for entries
-    that are deliberate policy exceptions (e.g. the async-migration
-    worklist) rather than not-yet-fixed debt."""
-
-    path: str
-    rule: str
-    message: str
-    justification: Optional[str] = None
-
-    @property
-    def identity(self) -> str:
-        return f"{self.path}::{self.rule}::{self.message}"
-
-    @property
-    def moved_identity(self) -> str:
-        """Fallback key matching the finding after a file move: same
-        basename, rule, and message."""
-        return f"{Path(self.path).name}::{self.rule}::{self.message}"
-
-
-class Baseline:
-    """A committed set of accepted findings with staleness tracking.
-
-    Matching is two-phase: exact ``path::rule::message`` first, then a
-    basename fallback so moving a file does not resurrect its accepted
-    findings. Every match is recorded; entries that matched nothing in
-    a full run over their file's tree are *stale* and should be purged
-    with ``--update-baseline``.
-    """
-
-    def __init__(self, entries: Optional[Sequence[BaselineEntry]] = None):
-        self.entries: List[BaselineEntry] = list(entries or [])
-        self._matched: Set[int] = set()
-
-    @classmethod
-    def from_identities(cls, identities: Set[str]) -> "Baseline":
-        entries = []
-        for identity in sorted(identities):
-            path, rule, message = identity.split("::", 2)
-            entries.append(BaselineEntry(path=path, rule=rule, message=message))
-        return cls(entries)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Baseline":
-        """Load a baseline file; a missing file is an empty baseline."""
-        file_path = Path(path)
-        if not file_path.exists():
-            return cls()
-        text = file_path.read_text(encoding="utf-8").strip()
-        if not text:
-            return cls()
-        payload = json.loads(text)
-        entries = [
-            BaselineEntry(
-                path=entry["path"],
-                rule=entry["rule"],
-                message=entry["message"],
-                justification=entry.get("justification"),
-            )
-            for entry in payload.get("findings", [])
-        ]
-        return cls(entries)
-
-    def match(self, finding: Finding) -> Optional[BaselineEntry]:
-        """The entry accepting this finding (exact, then moved-file
-        fallback), or None. Matches are recorded for staleness."""
-        identity = finding.identity()
-        moved = f"{Path(finding.path).name}::{finding.rule}::{finding.message}"
-        fallback: Optional[int] = None
-        for i, entry in enumerate(self.entries):
-            if entry.identity == identity:
-                self._matched.add(i)
-                return entry
-            if fallback is None and entry.moved_identity == moved:
-                fallback = i
-        if fallback is not None:
-            self._matched.add(fallback)
-            return self.entries[fallback]
-        return None
-
-    def stale_entries(self, checked_paths: Set[str]) -> List[str]:
-        """Identities of entries that matched nothing, restricted to
-        entries whose file (or a same-named file) was actually linted —
-        a scoped run must not declare the rest of the baseline rotten.
-        """
-        checked_names = {Path(p).name for p in checked_paths}
-        stale = []
-        for i, entry in enumerate(self.entries):
-            if i in self._matched:
-                continue
-            if entry.path in checked_paths or Path(entry.path).name in checked_names:
-                stale.append(entry.identity)
-        return stale
-
-    def justifications(self) -> Dict[str, str]:
-        """identity -> justification, for entries that carry one."""
-        return {
-            entry.identity: entry.justification
-            for entry in self.entries
-            if entry.justification
-        }
-
-
-def load_baseline(path: Union[str, Path]) -> Set[str]:
-    """Load a baseline file into a set of finding identities.
-
-    A missing file is an empty baseline (fresh repos start clean).
-    Prefer :meth:`Baseline.load` for move-tolerance, staleness tracking,
-    and justifications; this identity-set view is kept for callers that
-    only need membership.
-    """
-    return {entry.identity for entry in Baseline.load(path).entries}
-
-
-def write_baseline(
-    path: Union[str, Path],
-    findings: Sequence[Finding],
-    justifications: Optional[Dict[str, str]] = None,
-) -> None:
-    """Persist current findings as the accepted baseline.
-
-    ``justifications`` maps finding identities to a written reason; use
-    it to preserve (or add) the why of deliberate policy exceptions
-    when regenerating with ``--update-baseline``.
-    """
-    justifications = justifications or {}
-    entries = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
-        entry: Dict[str, object] = {
-            "path": f.path,
-            "rule": f.rule,
-            "message": f.message,
-        }
-        reason = justifications.get(f.identity())
-        if reason:
-            entry["justification"] = reason
-        entries.append(entry)
-    payload = {"version": 2, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    rules: Optional[Iterable[str]] = None,
+) -> List[Finding]:
+    """Lint one source string as a one-file program; suppressed
+    findings are dropped."""
+    return lint_files([FileContext(path, source)], rules).findings

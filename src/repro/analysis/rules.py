@@ -28,23 +28,11 @@ Rule catalog (ids):
   where spans and durations require monotonic clocks.
 * ``timeout-not-propagated`` — unbounded blocking waits
   (``Future.result()``, ``Queue.get()``, ``Condition.wait()``,
-  ``Event.wait()`` with no timeout) inside the hot-path packages
-  (``repro.serving`` / ``repro.runtime`` / ``repro.execution`` /
-  ``repro.cluster``), where every wait must derive its timeout from
-  the query's remaining deadline budget.
-* ``handler-blocking-io`` — unbounded blocking I/O in the gateway
-  package (``repro.gateway``), where every route and handler runs on a
-  per-connection server thread: ``.result()`` with no timeout pins a
-  connection thread for as long as the query takes, and a zero-arg
-  ``.read()``/``.readline()`` on a socket-backed stream trusts the peer
-  to ever finish sending.
-* ``nonpicklable-task-capture`` — a lambda, nested function, or
-  lock-like object passed into a cross-process task envelope
-  (``TaskEnvelope``/``ShardOp``/``ShardPlanSpec``/``WorkerConfig``) or
-  ``.put()`` onto a queue-shaped channel. Such captures either fail to
-  pickle deep inside a queue feeder thread or silently clone state
-  that must not be shared across processes; envelopes carry
-  declarative JSON-able values only (see :mod:`repro.cluster.envelope`).
+  ``Event.wait()`` with no timeout) inside the packages a served query
+  runs through (``repro.serving`` / ``repro.runtime`` /
+  ``repro.execution`` / ``repro.cluster`` / ``repro.gateway``), where
+  every wait must be bounded, by the query's remaining deadline budget
+  or by the gateway's connection timeout.
 """
 
 from __future__ import annotations
@@ -517,8 +505,14 @@ class TimeoutNotPropagated(Rule):
     )
 
     #: Only the packages on a served query's critical path: every wait
-    #: there must be bounded by the remaining deadline budget.
-    _HOT_PATHS = ("repro/serving", "repro/runtime", "repro/execution", "repro/cluster")
+    #: there must be bounded (gateway connection threads included).
+    _HOT_PATHS = (
+        "repro/serving",
+        "repro/runtime",
+        "repro/execution",
+        "repro/cluster",
+        "repro/gateway",
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         normalized = ctx.path.replace("\\", "/")
@@ -601,100 +595,6 @@ def _is_queueish(expr: ast.AST) -> bool:
 
 
 # ----------------------------------------------------------------------
-# nonpicklable-task-capture
-# ----------------------------------------------------------------------
-
-
-@register
-class NonPicklableTaskCapture(Rule):
-    id = "nonpicklable-task-capture"
-    description = (
-        "A lambda, nested function, or lock-like object handed to a "
-        "cross-process task envelope (or .put() onto a queue) either "
-        "fails to pickle inside a queue feeder thread or clones state "
-        "that must never be shared across processes."
-    )
-
-    #: Constructor names whose instances cross the process boundary.
-    _ENVELOPE_TYPES = {
-        "TaskEnvelope",
-        "ShardOp",
-        "ShardPlanSpec",
-        "WorkerConfig",
-    }
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for scope in ast.walk(ctx.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
-                continue
-            nested = {
-                child.name
-                for child in ast.iter_child_nodes(scope)
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            } if not isinstance(scope, ast.Module) else set()
-            for call in self._direct_calls(scope):
-                name = _terminal_name(call.func)
-                if name in self._ENVELOPE_TYPES:
-                    yield from self._check_payload(ctx, call, name, nested)
-                elif (
-                    name == "put"
-                    and isinstance(call.func, ast.Attribute)
-                    and _is_queueish(call.func.value)
-                ):
-                    receiver = ast.unparse(call.func.value)
-                    yield from self._check_payload(
-                        ctx, call, f"{receiver}.put", nested
-                    )
-
-    @staticmethod
-    def _direct_calls(scope: ast.AST) -> Iterator[ast.Call]:
-        """Calls in this scope, not descending into nested functions
-        (each nested def is visited as its own scope with its own set
-        of sibling closures)."""
-        stack = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Call):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_payload(
-        self, ctx: FileContext, call: ast.Call, target: str, nested: Set[str]
-    ) -> Iterator[Finding]:
-        values = list(call.args) + [kw.value for kw in call.keywords]
-        for value in values:
-            for inner in ast.walk(value):
-                if isinstance(inner, ast.Lambda):
-                    yield self.finding(
-                        ctx,
-                        inner,
-                        f"lambda captured in {target}(...): lambdas do not "
-                        f"pickle across the process boundary",
-                    )
-                elif isinstance(inner, ast.Name) and inner.id in nested:
-                    yield self.finding(
-                        ctx,
-                        inner,
-                        f"nested function {inner.id!r} captured in "
-                        f"{target}(...): closures do not pickle across "
-                        f"the process boundary",
-                    )
-                elif (
-                    isinstance(inner, (ast.Name, ast.Attribute))
-                    and _is_lockish(inner)
-                ):
-                    yield self.finding(
-                        ctx,
-                        inner,
-                        f"lock-like object '{ast.unparse(inner)}' captured "
-                        f"in {target}(...): synchronization primitives must "
-                        f"not cross the process boundary",
-                    )
-
-
-# ----------------------------------------------------------------------
 # naive-wall-clock
 # ----------------------------------------------------------------------
 
@@ -736,68 +636,4 @@ class NaiveWallClock(Rule):
                     call,
                     f"naive {receiver}.{func.attr}(); pass an explicit "
                     f"timezone (or use monotonic clocks for durations)",
-                )
-
-
-# ----------------------------------------------------------------------
-# handler-blocking-io
-# ----------------------------------------------------------------------
-
-
-@register
-class HandlerBlockingIo(Rule):
-    id = "handler-blocking-io"
-    description = (
-        "Gateway code runs on per-connection server threads: an "
-        "unbounded .result() pins a connection thread for as long as "
-        "the query takes, and a zero-arg .read()/.readline() on a "
-        "socket-backed stream blocks until the peer decides to finish."
-    )
-
-    #: The network front end: everything here is handler-adjacent (route
-    #: methods, middleware, SSE pumps all execute on connection threads).
-    _GATEWAY_PATHS = ("repro/gateway",)
-
-    #: Receiver names that are socket-backed streams in this package
-    #: (BaseHTTPRequestHandler rfile/wfile, http.client responses).
-    _STREAM_RE = re.compile(
-        r"(?:^|_)(?:rfile|wfile|sock|socket|conn|connection|response|resp|"
-        r"stream|fp)s?$"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        normalized = ctx.path.replace("\\", "/")
-        if not any(fragment in normalized for fragment in self._GATEWAY_PATHS):
-            return
-        for call in ast.walk(ctx.tree):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            receiver = ast.unparse(func.value)
-            if func.attr == "result":
-                if TimeoutNotPropagated._has_timeout(call):
-                    continue
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"'{receiver}.result()' without a timeout on a "
-                    f"connection thread: one slow query pins one HTTP "
-                    f"connection forever; bound it (SYNC_TIMEOUT_S)",
-                )
-            elif func.attr in ("read", "readline"):
-                if call.args or call.keywords:
-                    continue  # bounded read (explicit byte count)
-                name = _terminal_name(func.value)
-                if name is None or not self._STREAM_RE.search(
-                    name.strip("_").lower()
-                ):
-                    continue
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"zero-arg '{receiver}.{func.attr}()' on a socket "
-                    f"stream reads until the peer closes; pass an explicit "
-                    f"bound (Content-Length or a max line size)",
                 )

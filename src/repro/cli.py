@@ -67,22 +67,10 @@ Commands
     learned selectivities feed back into later plans.
 ``lint``
     Run the project's static-analysis rules (``repro.analysis``) over
-    source paths; exits non-zero on findings not in the committed
-    baseline. ``--json`` emits a machine-readable report for CI,
-    ``--sarif PATH`` a SARIF 2.1.0 log, ``--changed`` restricts the run
-    to git-changed files, and ``--update-baseline`` rewrites the
-    baseline (keeping justifications, dropping stale entries).
-``xlint``
-    Whole-program analysis (``repro.analysis.crossmod``): every module
-    is parsed once into a project index, then interprocedural rules run
-    over it — ``lock-order-inversion`` (cycles in the global
-    lock-acquisition-order graph), ``future-escape`` (futures dropped
-    across function/module boundaries), ``prompt-taint`` (untrusted
-    text reaching prompt construction unsanitized), and
-    ``event-loop-blocker`` (blocking primitives reachable from dispatch
-    loops). ``--since REV`` scopes reporting to the touched call-graph
-    slice; ``--runtime-report`` cross-checks the static lock graph
-    against a ``repro.analysis.locksmith`` runtime observation report.
+    source paths (default ``src``): each file is parsed once, and the
+    single-file and whole-program rules (lock-order inversion, future
+    escape, prompt taint) run on the same parse. Exits non-zero on any
+    finding not suppressed inline; ``--json`` emits the report for CI.
 ``plancheck``
     Statically validate a Luna logical-plan JSON file (or stdin) —
     structure, arity, references, and, with ``--schema``, field-level
@@ -746,140 +734,17 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_files(since: str = "HEAD") -> List[str]:
-    """Python files touched since ``since`` (diff + untracked), for
-    ``lint --changed`` / ``xlint --since``. Empty on any git failure."""
-    import subprocess
-
-    files: List[str] = []
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", since, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        ).stdout
-        for line in (diff + untracked).splitlines():
-            line = line.strip()
-            if line.endswith(".py"):
-                files.append(line)
-    except Exception as exc:  # pragma: no cover - no git / bad rev
-        print(f"warning: could not determine changed files ({exc})", file=sys.stderr)
-    return sorted(set(files))
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .analysis import Baseline, RULES, lint_paths, write_baseline, write_sarif
+    from .analysis import lint_paths
 
-    paths = args.paths or ["src"]
-    if args.changed:
-        changed = _git_changed_files(args.since or "HEAD")
-        paths = [p for p in changed if _path_under_any(p, args.paths or ["src"])]
-        if not paths:
-            print("no changed python files to lint")
-            return 0
-    baseline = Baseline.load(args.baseline)
-    report = lint_paths(paths, baseline=baseline)
-    if args.write_baseline or args.update_baseline:
-        accepted = report.findings + report.baselined
-        write_baseline(args.baseline, accepted, justifications=baseline.justifications())
-        dropped = len(report.stale)
-        print(
-            f"wrote {len(accepted)} finding(s) to {args.baseline}"
-            + (f" (dropped {dropped} stale entr{'y' if dropped == 1 else 'ies'})" if dropped else "")
-        )
-        return 0
-    if args.sarif:
-        descriptions = {rule_id: rule.description for rule_id, rule in RULES.items()}
-        write_sarif(args.sarif, report, tool_name="repro-lint", rule_descriptions=descriptions)
-        print(f"wrote SARIF report to {args.sarif}", file=sys.stderr)
+    report = lint_paths(args.paths or ["src"])
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _path_under_any(path: str, roots: List[str]) -> bool:
-    from pathlib import Path as _Path
-
-    parts = _Path(path).parts
-    for root in roots:
-        root_parts = _Path(root).parts
-        if parts[: len(root_parts)] == root_parts:
-            return True
-    return False
-
-
-def _cmd_xlint(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis import Baseline, write_baseline, write_sarif
-    from .analysis.crossmod import XRULES, build_index, xlint_paths
-
-    paths = args.paths or ["src/repro"]
-    rules = args.rules.split(",") if args.rules else None
-    baseline = Baseline.load(args.baseline)
-    changed = None
-    if args.since:
-        changed = _git_changed_files(args.since)
-        if not changed:
-            print(f"no python files changed since {args.since}")
-            return 0
-    index = build_index(paths)
-    report = xlint_paths(
-        paths, rules=rules, baseline=baseline, changed_files=changed, index=index
-    )
-    if args.update_baseline:
-        accepted = report.findings + report.baselined
-        write_baseline(args.baseline, accepted, justifications=baseline.justifications())
-        dropped = len(report.stale)
-        print(
-            f"wrote {len(accepted)} finding(s) to {args.baseline}"
-            + (f" (dropped {dropped} stale entr{'y' if dropped == 1 else 'ies'})" if dropped else "")
-        )
-        return 0
-    cross = None
-    if args.runtime_report:
-        from .analysis import locksmith
-        from .analysis.crossmod import build_lock_graph
-
-        runtime = locksmith.load_report(args.runtime_report)
-        cross = locksmith.cross_check(build_lock_graph(index), runtime)
-    if args.sarif:
-        descriptions = {rule_id: rule.description for rule_id, rule in XRULES.items()}
-        write_sarif(args.sarif, report, tool_name="repro-xlint", rule_descriptions=descriptions)
-        print(f"wrote SARIF report to {args.sarif}", file=sys.stderr)
-    if args.json:
-        payload = report.to_dict()
-        if cross is not None:
-            payload["lock_cross_check"] = cross
-        print(_json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-        if cross is not None:
-            print()
-            print(
-                f"lock cross-check: {len(cross['confirmed'])} static cycle(s) "
-                f"confirmed at runtime, {len(cross['static_only'])} static-only, "
-                f"{len(cross['runtime_only'])} runtime-only inversion(s)"
-            )
-            for entry in cross["confirmed"]:
-                print(f"  CONFIRMED cycle: {' -> '.join(entry['cycle'])}")
-            for inv in cross["runtime_only"]:
-                print(f"  runtime-only: {inv['a']} -> {inv['b']}")
-    failed = bool(report.findings) or bool(cross and cross["runtime_only"])
-    return 1 if failed else 0
 
 
 def _cmd_plancheck(args: argparse.Namespace) -> int:
@@ -1212,99 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--json", action="store_true", help="emit a JSON report (for CI artifacts)"
     )
-    lint.add_argument(
-        "--baseline",
-        default=".lint-baseline.json",
-        help="baseline file of accepted findings (default: %(default)s)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline and exit 0",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline from current findings, preserving "
-            "justifications and dropping stale entries"
-        ),
-    )
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only python files changed in git (see --since)",
-    )
-    lint.add_argument(
-        "--since",
-        default=None,
-        metavar="REV",
-        help="git revision --changed diffs against (default: HEAD)",
-    )
-    lint.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report to PATH",
-    )
     lint.set_defaults(handler=_cmd_lint)
-
-    xlint = sub.add_parser(
-        "xlint",
-        help=(
-            "whole-program analysis: lock-order inversions, future "
-            "escapes, prompt taint, event-loop blockers"
-        ),
-    )
-    xlint.add_argument(
-        "paths", nargs="*", help="source roots to index (default: src/repro)"
-    )
-    xlint.add_argument(
-        "--json", action="store_true", help="emit a JSON report (for CI artifacts)"
-    )
-    xlint.add_argument(
-        "--baseline",
-        default=".xlint-baseline.json",
-        help="baseline file of accepted findings (default: %(default)s)",
-    )
-    xlint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline from current findings, preserving "
-            "justifications and dropping stale entries"
-        ),
-    )
-    xlint.add_argument(
-        "--since",
-        default=None,
-        metavar="REV",
-        help=(
-            "report only findings in the call-graph slice touched since "
-            "REV (the index still covers the whole program)"
-        ),
-    )
-    xlint.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    xlint.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report to PATH",
-    )
-    xlint.add_argument(
-        "--runtime-report",
-        default=None,
-        metavar="PATH",
-        help=(
-            "locksmith runtime report (JSON) to cross-check against the "
-            "static lock-order graph"
-        ),
-    )
-    xlint.set_defaults(handler=_cmd_xlint)
 
     plancheck = sub.add_parser(
         "plancheck", help="statically validate a Luna logical-plan JSON file"

@@ -11,8 +11,7 @@ what makes sharded output byte-identical to local execution.
 
 :func:`ensure_picklable_spec` enforces the boundary at submit time with
 a typed error instead of a ``PicklingError`` deep inside a queue feeder
-thread; the ``nonpicklable-task-capture`` lint rule enforces the same
-discipline statically.
+thread.
 """
 
 from __future__ import annotations
@@ -114,11 +113,11 @@ def ensure_picklable_spec(spec: "ShardPlanSpec") -> None:
 
 
 def _is_lock_like(value: Any) -> bool:
-    """Duck-typed lock check: the analysis locksmith replaces
-    ``threading.Lock``/``RLock`` with wrapper classes, so the type tuple
-    above (captured at import) misses monitored locks. Anything exposing
-    both ``acquire`` and ``release`` callables is a synchronization
-    primitive and must not cross the process boundary either way."""
+    """Duck-typed lock check: ``multiprocessing.Lock``/``RLock``/
+    ``Semaphore`` are not instances of any type in the tuple above, so
+    only this check rejects them. Anything exposing both ``acquire``
+    and ``release`` callables is a synchronization primitive and must
+    not cross the process boundary in a plan parameter."""
     return callable(getattr(value, "acquire", None)) and callable(
         getattr(value, "release", None)
     )

@@ -425,7 +425,7 @@ class RequestScheduler:
         if isinstance(resolved, Future):
             exc = resolved.exception()
             # Callers only pass resolved futures (exception() returned).
-            result = exc if exc is not None else resolved.result()  # repro: lint-ignore[timeout-not-propagated,event-loop-blocker]
+            result = exc if exc is not None else resolved.result()  # repro: lint-ignore[timeout-not-propagated]
         else:
             result = resolved
         if batch_span_id is not None:

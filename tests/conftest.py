@@ -7,76 +7,19 @@ deterministic, so sharing them across tests is safe.
 
 from __future__ import annotations
 
-import os
+import contextlib
+import io
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import leakcheck, locksmith
-
-# The lock-order sanitizer must patch threading.Lock/RLock BEFORE the
-# modules under test create their locks, i.e. before `import repro.*`
-# below pulls everything in. Opt in with REPRO_LOCKSMITH=1 or
-# `pytest --locksmith`; the env var is honoured here (import time), the
-# CLI flag in pytest_configure (early enough for test-created locks,
-# which is what the sanitizer is for).
-locksmith.install_from_env()
-
+from repro.analysis import leakcheck
 from repro.datagen import generate_earnings_corpus, generate_ntsb_corpus
 from repro.docmodel import BoundingBox, Document, Element, Node, Table, TableCell
 from repro.llm import CostTracker, ReliableLLM, SimulatedLLM
 from repro.partitioner import ArynPartitioner
 from repro.sycamore import SycamoreContext
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--locksmith",
-        action="store_true",
-        default=False,
-        help="enable the runtime lock-order sanitizer (repro.analysis.locksmith)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "locksmith_intentional: test provokes lock-order inversions on "
-        "purpose; the per-test sanitizer check is skipped",
-    )
-    if config.getoption("--locksmith", default=False):
-        locksmith.install()
-
-
-def pytest_unconfigure(config):
-    if locksmith.installed():
-        report_path = os.environ.get("REPRO_LOCKSMITH_REPORT")
-        if report_path:
-            locksmith.write_report(report_path)
-        locksmith.uninstall()
-
-
-@pytest.fixture(autouse=True)
-def _lock_order_sanitizer(request):
-    """Under ``--locksmith``/``REPRO_LOCKSMITH``, fail any test whose
-    execution records a new lock-order inversion. The order graph itself
-    is process-wide (edges accumulate across tests on purpose — that is
-    how cross-test inversions are caught), so only the *inversion list*
-    is diffed per test."""
-    if not locksmith.installed():
-        yield
-        return
-    if request.node.get_closest_marker("locksmith_intentional") is not None:
-        yield
-        return
-    before = len(locksmith.inversions())
-    yield
-    new = locksmith.inversions()[before:]
-    if new:
-        pytest.fail(
-            "lock-order inversion(s) observed during this test:\n\n"
-            + "\n\n".join(inv.render() for inv in new),
-            pytrace=False,
-        )
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +57,19 @@ def without_generated_ids(document):
         return value
 
     return scrub(document.to_dict())
+
+
+@pytest.fixture(scope="session")
+def repo_lint_report():
+    """``python -m repro lint --json`` over this repo's ``src/``, run once
+    and shared by the lint self-tests: ``(exit code, JSON report)``."""
+    from repro.cli import main
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", str(src), "--json"])
+    return code, json.loads(out.getvalue())
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@
 boundary into :func:`mod_b.credit`, which takes B's lock — while
 ``mod_b.AccountB.reverse`` nests the same two locks in the opposite
 order. Neither module is wrong on its own; the inversion only exists in
-the whole program. The static ``lock-order-inversion`` rule and the
-runtime locksmith sanitizer must both catch it (and agree in the
-cross-check report) — tests/test_crossmod.py drives both.
+the whole program. The ``lock-order-inversion`` rule must catch it —
+tests/test_crossmod.py and the ``repro lint`` tests in
+tests/test_analysis.py run it over this directory.
 """
 
 import threading

@@ -1,33 +1,35 @@
-"""Tests for repro.analysis: lint rules, suppressions/baseline, plancheck.
+"""Tests for repro.analysis: lint rules, suppressions, the CLI, plancheck.
 
 Three layers, matching the subsystem:
 
-* **Lint rules** — per-rule positive/negative fixtures run through
+* **Lint** — per-rule positive/negative fixtures run through
   :func:`lint_source`. Each positive is the bug class the rule encodes;
   each negative is the nearest legitimate idiom (which must NOT fire).
+  The ``repro lint`` verb is driven end to end, and the repo itself
+  lints clean through it.
 * **Plancheck** — one unit per violation code, plus the integration
   contracts: the planner rejects-and-replans on a bad sample,
   ``Luna.execute_plan`` rejects hand-built invalid plans at plan time,
   and the serving plan cache never admits an invalid plan.
-* **Hygiene** — the repo itself lints clean against the committed
-  baseline, and the leak sanitizer's detector actually detects.
+* **Hygiene** — the leak sanitizer's detector actually detects.
 """
 
+import json
 import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    RULES,
     PlanCheckError,
+    Rule,
     check_plan,
     leakcheck,
-    lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
+    load_rules,
 )
+from repro.cli import main
 from repro.embedding.embedder import HashingEmbedder
 from repro.indexes.catalog import NamedIndex
 from repro.luna import Luna
@@ -425,19 +427,23 @@ class TestTimeoutNotPropagated:
 
 
 class TestHandlerBlockingIo:
+    """A gateway connection thread parked on an unbounded wait pins the
+    connection. ``timeout-not-propagated`` catches it: ``repro/gateway``
+    is one of its hot paths."""
+
     GW = "src/repro/gateway/server.py"
 
     def gw_hits(self, source, path=None):
         return lint_source(
             textwrap.dedent(source),
             path=path or self.GW,
-            rules=["handler-blocking-io"],
+            rules=["timeout-not-propagated"],
         )
 
     def test_unbounded_result_fires(self):
         found = self.gw_hits("served = ticket.result()\n")
         assert len(found) == 1
-        assert "connection thread" in found[0].message
+        assert "without a timeout" in found[0].message
 
     def test_bounded_result_ok(self):
         assert not self.gw_hits(
@@ -445,24 +451,10 @@ class TestHandlerBlockingIo:
         )
         assert not self.gw_hits("served = ticket.result(30.0)\n")
 
-    def test_zero_arg_socket_read_fires(self):
-        assert self.gw_hits("body = self.rfile.read()\n")
-        assert self.gw_hits("line = response.readline()\n")
-
-    def test_bounded_or_non_socket_read_ok(self):
-        assert not self.gw_hits("body = self.rfile.read(length)\n")
-        assert not self.gw_hits("line = response.readline(1 << 16)\n")
-        # Not a socket-shaped receiver: plain file objects stay out of scope.
-        assert not self.gw_hits("data = handle.read()\n")
-
     def test_only_gateway_package_is_checked(self):
         source = "value = future.result()\n"
         assert not self.gw_hits(source, path="src/repro/luna/luna.py")
         assert self.gw_hits(source, path="src/repro/gateway/client.py")
-
-    def test_inline_suppression(self):
-        source = "x = t.result()  # repro: lint-ignore[handler-blocking-io]\n"
-        assert not self.gw_hits(source)
 
     def test_gateway_metric_namespace_is_documented(self):
         from repro.analysis.rules import METRIC_NAMESPACES
@@ -517,103 +509,7 @@ class TestNaiveWallClock:
 
 
 # ----------------------------------------------------------------------
-# nonpicklable-task-capture
-# ----------------------------------------------------------------------
-
-
-class TestNonPicklableTaskCapture:
-    RULE = "nonpicklable-task-capture"
-
-    def test_lambda_in_envelope_fires(self):
-        found = hits(
-            """
-            def scatter(shard):
-                return TaskEnvelope(
-                    shard_id=shard.shard_id,
-                    transform=lambda doc: doc,
-                )
-            """,
-            self.RULE,
-        )
-        assert len(found) == 1
-        assert "lambda" in found[0].message
-
-    def test_nested_function_in_spec_fires(self):
-        found = hits(
-            """
-            def build(docs):
-                def predicate(doc):
-                    return doc.ok
-                return ShardOp(operation="BasicFilter", params=predicate)
-            """,
-            self.RULE,
-        )
-        assert len(found) == 1
-        assert "predicate" in found[0].message
-
-    def test_lock_put_on_queue_fires(self):
-        found = hits(
-            """
-            def dispatch(self, envelope):
-                self.task_queue.put((envelope, self._lock))
-            """,
-            self.RULE,
-        )
-        assert len(found) == 1
-        assert "lock" in found[0].message.lower()
-
-    def test_declarative_envelope_is_clean(self):
-        assert not hits(
-            """
-            def scatter(shard, spec):
-                return TaskEnvelope(
-                    shard_id=shard.shard_id,
-                    spec=spec,
-                    documents=list(shard.documents),
-                    budget_s=2.5,
-                )
-            """,
-            self.RULE,
-        )
-
-    def test_plain_values_on_queue_are_clean(self):
-        assert not hits(
-            """
-            def dispatch(self, envelope):
-                self.task_queue.put(envelope)
-            """,
-            self.RULE,
-        )
-
-    def test_lambda_elsewhere_is_clean(self):
-        """Only the process boundary is policed: lambdas handed to
-        in-process calls (sort keys etc.) are fine."""
-        assert not hits(
-            """
-            def order(shards):
-                shards.sort(key=lambda s: s.shard_id)
-                return shards
-            """,
-            self.RULE,
-        )
-
-    def test_module_level_function_reference_is_clean(self):
-        """Top-level functions pickle by qualified name; only sibling
-        *nested* defs are closure hazards."""
-        assert not hits(
-            """
-            def helper(doc):
-                return doc
-
-            def scatter(shard):
-                return ShardOp(operation="Map", params=helper)
-            """,
-            self.RULE,
-        )
-
-
-# ----------------------------------------------------------------------
-# Suppressions and baseline
+# Suppressions and the rule registry
 # ----------------------------------------------------------------------
 
 
@@ -667,50 +563,18 @@ class TestSuppressionsAndBaseline:
         found = lint_source("def broken(:\n")
         assert [f.rule for f in found] == ["syntax-error"]
 
-    def test_baseline_roundtrip(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "def f(pool):\n    pool.submit(work)\n", encoding="utf-8"
-        )
-        fresh = lint_paths([bad], rules=["swallowed-future"])
-        assert not fresh.ok and len(fresh.findings) == 1
-
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, fresh.findings)
-        baseline = load_baseline(baseline_file)
-
-        again = lint_paths(
-            [bad], rules=["swallowed-future"], baseline=baseline
-        )
-        assert again.ok
-        assert len(again.baselined) == 1
-        # A NEW violation still fails against the old baseline.
-        bad.write_text(
-            "def f(pool, other):\n"
-            "    pool.submit(work)\n"
-            "    other.submit(work)\n",
-            encoding="utf-8",
-        )
-        drifted = lint_paths(
-            [bad], rules=["swallowed-future"], baseline=baseline
-        )
-        assert not drifted.ok
-        assert len(drifted.findings) == 1  # only the new one
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_repo_lints_clean_against_committed_baseline(self, monkeypatch):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        monkeypatch.chdir(root)
-        report = lint_paths(["src"], baseline=load_baseline(".lint-baseline.json"))
-        assert report.files_checked > 50
-        assert report.ok, "\n" + report.render()
+    def test_repo_lints_clean_against_committed_baseline(self, repo_lint_report):
+        # No baseline is committed any more: clean means no finding at all.
+        _, report = repo_lint_report
+        single_file = {
+            rule_id for rule_id, rule in load_rules().items() if isinstance(rule, Rule)
+        }
+        found = [f for f in report["findings"] if f["rule"] in single_file]
+        assert report["files_checked"] > 50
+        assert found == [], json.dumps(found, indent=1)
 
     def test_rule_catalog_is_complete(self):
-        assert set(RULES) == {
+        assert set(load_rules()) == {
             "blocking-call-under-lock",
             "bare-lock-acquire",
             "executor-never-shutdown",
@@ -719,9 +583,76 @@ class TestSuppressionsAndBaseline:
             "metric-name-drift",
             "naive-wall-clock",
             "timeout-not-propagated",
-            "handler-blocking-io",
-            "nonpicklable-task-capture",
+            "lock-order-inversion",
+            "future-escape",
+            "prompt-taint",
         }
+
+
+# ----------------------------------------------------------------------
+# The `repro lint` verb
+# ----------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestLintCli:
+    def run_lint(self, capsys, *args):
+        code = main(["lint", *map(str, args)])
+        return code, capsys.readouterr().out
+
+    def test_repo_lints_clean(self, repo_lint_report):
+        code, report = repo_lint_report
+        assert code == 0, json.dumps(report["findings"], indent=1)
+        assert report["ok"] is True
+        assert report["findings"] == []
+
+    def test_single_file_finding_fails_with_json_report(self, tmp_path, capsys):
+        (tmp_path / "clock.py").write_text(
+            "import time\n\ndef stamp():\n    return time.time()\n",
+            encoding="utf-8",
+        )
+        code, out = self.run_lint(capsys, tmp_path, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [(f["rule"], f["line"]) for f in report["findings"]] == [
+            ("naive-wall-clock", 4)
+        ]
+
+    def test_whole_program_finding_fails(self, capsys):
+        code, out = self.run_lint(
+            capsys, REPO / "tests" / "fixtures" / "deadlock_demo", "--json"
+        )
+        assert code == 1
+        rules = [f["rule"] for f in json.loads(out)["findings"]]
+        assert rules == ["lock-order-inversion"]
+
+    def test_each_file_is_parsed_once(self, monkeypatch, capsys):
+        import ast
+
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        fixture = REPO / "tests" / "fixtures" / "deadlock_demo"
+        code, out = self.run_lint(capsys, fixture)
+        assert sorted(Path(name).name for name in parsed) == ["mod_a.py", "mod_b.py"]
+        assert code == 1
+        assert "1 finding(s) in 2 file(s)" in out
+
+    def test_syntax_error_is_reported_once(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+        (tmp_path / "fine.py").write_text("x = 1\n", encoding="utf-8")
+        code, out = self.run_lint(capsys, tmp_path, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["files_checked"] == 2
+        assert [f["rule"] for f in report["findings"]] == ["syntax-error"]
 
 
 # ----------------------------------------------------------------------
@@ -1051,105 +982,8 @@ class TestLeakcheck:
 
 
 # ----------------------------------------------------------------------
-# Baseline v2, SARIF, and suppression edge cases
+# Suppression edge cases
 # ----------------------------------------------------------------------
-
-from repro.analysis import Baseline, BaselineEntry, Finding, to_sarif
-
-
-def _finding(path="src/repro/mod.py", rule="swallowed-future",
-             message="future from pool.submit(...) is discarded", line=3):
-    return Finding(rule=rule, path=path, line=line, col=4, message=message)
-
-
-class TestBaselineV2:
-    def test_justification_round_trip(self, tmp_path):
-        f = _finding()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [f], justifications={f.identity(): "migration worklist"})
-        loaded = Baseline.load(path)
-        assert loaded.justifications() == {f.identity(): "migration worklist"}
-        entry = loaded.match(f)
-        assert entry is not None and entry.justification == "migration worklist"
-
-    def test_update_preserves_justifications(self, tmp_path):
-        f = _finding()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [f], justifications={f.identity(): "keep me"})
-        # Regenerate (as --update-baseline does): carry the old reasons over.
-        old = Baseline.load(path)
-        write_baseline(path, [f], justifications=old.justifications())
-        assert Baseline.load(path).justifications() == {f.identity(): "keep me"}
-
-    def test_entry_survives_file_move(self):
-        baseline = Baseline([BaselineEntry(
-            path="src/old/place.py", rule="swallowed-future",
-            message="future from pool.submit(...) is discarded",
-        )])
-        moved = _finding(path="src/new/home/place.py")
-        assert baseline.match(moved) is not None
-        # ...and a matched entry is not stale.
-        assert baseline.stale_entries({"src/new/home/place.py"}) == []
-
-    def test_stale_restricted_to_checked_paths(self):
-        baseline = Baseline([
-            BaselineEntry(path="a.py", rule="r", message="m"),
-            BaselineEntry(path="b.py", rule="r", message="m"),
-        ])
-        # Only a.py was linted: b.py's entry must not be declared stale.
-        assert baseline.stale_entries({"a.py"}) == ["a.py::r::m"]
-
-    def test_stale_reported_through_lint_paths(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n", encoding="utf-8")
-        baseline = Baseline([BaselineEntry(
-            path=str(clean), rule="swallowed-future", message="gone",
-        )])
-        report = lint_paths([clean], rules=["swallowed-future"], baseline=baseline)
-        assert report.ok
-        assert report.stale == [f"{clean}::swallowed-future::gone"]
-
-    def test_from_identities(self):
-        baseline = Baseline.from_identities({"p.py::r::message :: with colons"})
-        assert baseline.entries[0].path == "p.py"
-        assert baseline.entries[0].message == "message :: with colons"
-
-
-class TestSarifExport:
-    def test_sarif_shape_and_baseline_state(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "def f(pool, other):\n"
-            "    pool.submit(work)\n"
-            "    other.submit(work)\n",
-            encoding="utf-8",
-        )
-        fresh = lint_paths([bad], rules=["swallowed-future"])
-        baseline = Baseline.from_identities({fresh.findings[0].identity()})
-        report = lint_paths([bad], rules=["swallowed-future"], baseline=baseline)
-        assert len(report.findings) == 1 and len(report.baselined) == 1
-
-        doc = to_sarif(report, tool_name="repro-lint",
-                       rule_descriptions={"swallowed-future": "dropped future"})
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "swallowed-future" in rule_ids
-        states = sorted(r["baselineState"] for r in run["results"])
-        assert states == ["new", "unchanged"]
-        loc = run["results"][0]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("bad.py")
-        assert loc["region"]["startLine"] in (2, 3)
-
-    def test_sarif_can_exclude_baselined(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(pool):\n    pool.submit(work)\n", encoding="utf-8")
-        fresh = lint_paths([bad], rules=["swallowed-future"])
-        baseline = Baseline.from_identities({f.identity() for f in fresh.findings})
-        report = lint_paths([bad], rules=["swallowed-future"], baseline=baseline)
-        doc = to_sarif(report, include_baselined=False)
-        assert doc["runs"][0]["results"] == []
 
 
 class TestSuppressionEdgeCases:

@@ -26,9 +26,11 @@ workload covers scale).
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -42,9 +44,11 @@ from repro.cluster import (
 from repro.cluster.coordinator import MAX_SHARD_RETRIES
 from repro.cluster.bench import generate_bench_corpus
 from repro.cluster.envelope import (
+    _UNPICKLABLE_TYPES,
     NonPicklableTaskError,
     ShardOp,
     ShardPlanSpec,
+    _check_value,
 )
 from repro.cluster.sharding import (
     merge_shard_outputs,
@@ -200,8 +204,6 @@ class TestEnvelopes:
             )
 
     def test_rejects_nested_lock_capture(self):
-        import threading
-
         with pytest.raises(NonPicklableTaskError, match="LlmFilter.options"):
             ShardPlanSpec.from_ops(
                 [
@@ -219,6 +221,31 @@ class TestEnvelopes:
         c = ShardPlanSpec.from_ops([ShardOp.make("LlmExtract", field="g")])
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+
+class TestEnvelopeHardening:
+    """``_check_value`` rejects synchronization primitives anywhere in a
+    plan parameter, including ones only its duck-typed check sees."""
+
+    def test_lock_rejected_by_envelope_check(self):
+        with pytest.raises(NonPicklableTaskError):
+            _check_value("op.param", threading.Lock())
+
+    def test_lock_rejected_inside_containers(self):
+        with pytest.raises(NonPicklableTaskError):
+            _check_value("op.param", {"inner": [threading.RLock()]})
+
+    def test_multiprocessing_lock_rejected_alone_and_nested(self):
+        lock = multiprocessing.Lock()
+        # Not an instance of any type in the tuple: the duck-typed
+        # acquire/release check is what rejects it.
+        assert not isinstance(lock, _UNPICKLABLE_TYPES)
+        for value in (lock, {"inner": lock}, [1, lock]):
+            with pytest.raises(NonPicklableTaskError):
+                _check_value("op.param", value)
+
+    def test_plain_values_still_pass(self):
+        _check_value("op.param", {"a": [1, "two", 3.0, None, True]})
 
 
 # ----------------------------------------------------------------------
