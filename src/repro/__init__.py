@@ -17,8 +17,9 @@ Layered like the paper's architecture (Figure 1):
 * :mod:`repro.serving` — the concurrent query-serving layer: admission
   control, tenants/sessions, single-flight plan/result caching.
 * :mod:`repro.cluster` — sharded multi-process execution: deterministic
-  stable-hash partitioning, scatter/gather coordination with shard
-  retry and journal checkpoints, and spill-to-disk document sets.
+  stable-hash partitioning, scatter/gather coordination with
+  re-dispatch of shards whose worker died, journal checkpoints, and
+  spill-to-disk document sets.
 * :mod:`repro.rag` — the retrieval-augmented-generation baseline.
 * :mod:`repro.datagen`, :mod:`repro.evaluation` — synthetic corpora and
   the benchmark harnesses.

@@ -23,6 +23,9 @@ plus OpenSearch sharding:
 * **Fault tolerance** — a worker that disappears mid-shard is detected
   by exit code, its outstanding shards are re-dispatched to a live peer
   (attempt-bounded), and the pool is healed by respawning the slot.
+  This is the only retry the cluster owns. A shard that *reports* an
+  error is not re-run: its records already met the query's containment
+  policy on the worker, and its LLM calls were already retried there.
   With a journal attached, completed shards are checkpointed so a
   resumed query re-runs only the shards that were lost.
 * **Observability** — ``cluster.*`` metrics and per-shard spans linked
@@ -68,13 +71,13 @@ RESULT_POLL_S = 0.2
 #: terminating it.
 SHUTDOWN_GRACE_S = 2.0
 
-#: How many times one shard may be re-dispatched (worker death or shard
-#: error) before the segment fails with :class:`ClusterError`.
+#: How many times one shard may be re-dispatched after its worker died
+#: before the segment fails with :class:`ClusterError`.
 MAX_SHARD_RETRIES = 2
 
 
 class ClusterError(RuntimeError):
-    """A shard could not be completed within the retry budget."""
+    """A shard failed, or its workers kept dying past the retry bound."""
 
     def __init__(self, message: str, shard_id: int = -1, attempts: int = 0):
         super().__init__(message)
@@ -457,8 +460,6 @@ class ClusterCoordinator:
                     partial,
                     query_id,
                     segment_fp,
-                    scope,
-                    segment_span,
                 )
 
             result.documents = merge_shard_outputs(outputs)
@@ -558,8 +559,6 @@ class ClusterCoordinator:
         partial: str,
         query_id: str,
         segment_fp: str,
-        scope: Optional[CancelScope],
-        segment_span: Optional[Span],
     ) -> None:
         shard_id = shard_result.shard_id
         assignment = assignments.pop(shard_id, None)
@@ -610,22 +609,21 @@ class ClusterCoordinator:
                 elapsed_s=shard_result.elapsed_s,
             )
 
-        # status == "error": re-dispatch within the retry budget.
+        # status == "error": the worker ran the shard and it failed under
+        # the spec's containment policy. Running it again asks the same
+        # question of the same records, so the segment fails here.
         self._finish_shard_span(
             assignment,
             status="error",
             outcome="error",
             error=shard_result.error,
         )
-        self._retry_shard(
-            shard_id,
-            assignment,
-            cause=shard_result.error or "shard failed",
-            pending=pending,
-            assignments=assignments,
-            result=result,
-            scope=scope,
-            segment_span=segment_span,
+        attempts = shard_result.attempt + 1
+        raise ClusterError(
+            f"shard {shard_id} failed on attempt {attempts}: "
+            f"{shard_result.error or 'shard failed'}",
+            shard_id=shard_id,
+            attempts=attempts,
         )
 
     def _retry_shard(

@@ -2,8 +2,9 @@
 
 A worker process receives a :class:`TaskEnvelope` — the shard's
 documents, a *declarative* :class:`ShardPlanSpec` (operator names and
-JSON-able params, mirroring Luna's logical-plan nodes) and the remaining
-deadline budget — and sends back a :class:`ShardResult`. Nothing else is
+JSON-able params, mirroring Luna's logical-plan nodes, plus the query's
+failure-containment policy) and the remaining deadline budget — and
+sends back a :class:`ShardResult`. Nothing else is
 shared: no closures, no locks, no live LLM clients. The worker rebuilds
 its pipeline by lowering the spec through the operator table the
 in-process engine runs (:data:`repro.luna.lowering.LOWERING`), which is
@@ -23,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..docmodel.document import Document
 from ..execution.materialize import stable_fingerprint
+from ..execution.plan import check_on_error
 
 #: Operations a shard plan may carry — the per-record subset of Luna's
 #: operator algebra (each document's output depends only on that
@@ -54,19 +56,32 @@ class ShardOp:
 
 @dataclass(frozen=True)
 class ShardPlanSpec:
-    """A declarative sub-plan: the ops every shard runs over its slice."""
+    """A declarative sub-plan: the ops every shard runs over its slice.
+
+    ``error_policy`` is the query's failure containment (one of
+    :data:`~repro.execution.ON_ERROR_POLICIES`), carried across the
+    process boundary so a shard contains a failing record exactly as the
+    in-process executor would.
+    """
 
     ops: Tuple[ShardOp, ...]
     default_model: str = "sim-large"
+    error_policy: str = "fail"
 
     @classmethod
-    def from_ops(cls, ops: "List[ShardOp] | Tuple[ShardOp, ...]", default_model: str = "sim-large") -> "ShardPlanSpec":
-        spec = cls(ops=tuple(ops), default_model=default_model)
+    def from_ops(
+        cls,
+        ops: "List[ShardOp] | Tuple[ShardOp, ...]",
+        default_model: str = "sim-large",
+        error_policy: str = "fail",
+    ) -> "ShardPlanSpec":
+        spec = cls(ops=tuple(ops), default_model=default_model, error_policy=error_policy)
         spec.validate()
         return spec
 
     def validate(self) -> None:
         """Typed rejection of non-shardable or non-picklable specs."""
+        check_on_error(self.error_policy)
         if not self.ops:
             raise ValueError("a shard plan needs at least one operator")
         for op in self.ops:
@@ -83,6 +98,7 @@ class ShardPlanSpec:
         return stable_fingerprint(
             [
                 self.default_model,
+                self.error_policy,
                 [[op.operation, list(op.params)] for op in self.ops],
             ]
         )

@@ -64,7 +64,8 @@ def run_spec_locally(
     differ from local output through partitioning or merging bugs, both
     of which the cluster tests pin down directly. The spec's operators
     chain into one DocSet through the lowering table Luna's executor
-    uses, so a shard runs them fused, record by record.
+    uses, so a shard runs them fused, record by record, under the spec's
+    ``error_policy``.
     """
     scope = Scope(context, llm_options={"priority": Priority.BULK})
     docset = context.read.documents(documents)
@@ -72,7 +73,7 @@ def run_spec_locally(
         params = shard_op.param_dict()
         params["model"] = params.get("model") or spec.default_model
         docset = lower(shard_op.operation, params, scope, [docset])
-    return docset.execute()
+    return docset.execute(on_error=spec.error_policy)
 
 
 def build_worker_context(config: WorkerConfig) -> SycamoreContext:
@@ -102,24 +103,23 @@ def execute_envelope(
 
     started = time.monotonic()
     before = context.cost_tracker.summary()
-
-    scope: Optional[CancelScope] = None
-    if envelope.budget_s is not None:
-        if envelope.budget_s <= 0:
-            return ShardResult(
-                shard_id=envelope.shard_id,
-                attempt=envelope.attempt,
-                worker_id=worker_id,
-                status="deadline",
-                budget_s=float(envelope.budget_s),
-                elapsed_s=0.0,
-                run_token=envelope.run_token,
-            )
-        scope = CancelScope(
-            deadline=Deadline(envelope.budget_s), query_id=envelope.query_id
-        )
-
+    result = ShardResult(
+        shard_id=envelope.shard_id,
+        attempt=envelope.attempt,
+        worker_id=worker_id,
+        status="ok",
+        run_token=envelope.run_token,
+    )
     try:
+        scope: Optional[CancelScope] = None
+        if envelope.budget_s is not None:
+            if envelope.budget_s <= 0:
+                raise DeadlineExceeded(
+                    "no budget left at dispatch", budget_s=float(envelope.budget_s)
+                )
+            scope = CancelScope(
+                deadline=Deadline(envelope.budget_s), query_id=envelope.query_id
+            )
         with attach_scope(scope):
             documents, stats = run_spec_locally(
                 context, envelope.documents, envelope.spec
@@ -128,37 +128,18 @@ def execute_envelope(
             document.doc_id: position
             for document, position in zip(envelope.documents, envelope.positions)
         }
-        result = ShardResult(
-            shard_id=envelope.shard_id,
-            attempt=envelope.attempt,
-            worker_id=worker_id,
-            status="ok",
-            documents=documents,
-            positions=[position_of[document.doc_id] for document in documents],
-            dead_lettered=stats.total_dead_lettered(),
-            skipped=stats.total_skipped(),
-            run_token=envelope.run_token,
-        )
+        result.documents = documents
+        result.positions = [position_of[document.doc_id] for document in documents]
+        result.dead_lettered = stats.total_dead_lettered()
+        result.skipped = stats.total_skipped()
     except DeadlineExceeded as exc:
-        result = ShardResult(
-            shard_id=envelope.shard_id,
-            attempt=envelope.attempt,
-            worker_id=worker_id,
-            status="deadline",
-            budget_s=exc.budget_s,
-            elapsed_s=exc.elapsed_s,
-            error=str(exc),
-            run_token=envelope.run_token,
-        )
+        result.status = "deadline"
+        result.budget_s = exc.budget_s
+        result.elapsed_s = exc.elapsed_s
+        result.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - workers must report, not die
-        result = ShardResult(
-            shard_id=envelope.shard_id,
-            attempt=envelope.attempt,
-            worker_id=worker_id,
-            status="error",
-            error=f"{type(exc).__name__}: {exc}",
-            run_token=envelope.run_token,
-        )
+        result.status = "error"
+        result.error = f"{type(exc).__name__}: {exc}"
 
     after = context.cost_tracker.summary()
     result.wall_s = time.monotonic() - started

@@ -7,12 +7,11 @@ from .executor import (
     ExecutionStats,
     Executor,
     NodeStats,
-    ON_ERROR_POLICIES,
     TaskError,
 )
 from .lineage import Lineage, LineageEdge
 from .materialize import DiskCache, MemoryCache, plan_fingerprint, stable_fingerprint
-from .plan import Plan, PlanNode
+from .plan import ON_ERROR_POLICIES, Plan, PlanNode
 
 __all__ = [
     "DeadLetter",

@@ -1,11 +1,17 @@
-"""Plan execution: pipelined, optionally parallel, with task retries.
+"""Plan execution: pipelined, optionally parallel, with failure containment.
 
 This is the repository's Ray substitute (DESIGN.md §1): the semantics the
 paper relies on — lazy pipelined execution, scale-out across workers for
-per-record transforms, automatic retry of failed tasks, and execution
-statistics — implemented over a thread pool. Per-record operators stream;
-``aggregate`` nodes drain their input (a barrier), matching Spark/Ray
-stage semantics.
+per-record transforms, and execution statistics — implemented over a
+thread pool. Per-record operators stream; ``aggregate`` nodes drain their
+input (a barrier), matching Spark/Ray stage semantics.
+
+A task runs once. Ray retries a task because its worker can die; an
+in-process task has no worker to lose, and the LLM calls inside it are
+already retried by :class:`~repro.llm.client.ReliableLLM`, so a failed
+task goes straight to its node's containment policy (``fail`` | ``skip``
+| ``dead_letter``). The analogue of Ray's task retry is the cluster
+coordinator's re-dispatch of a shard whose worker died.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from ..observability.cost import CostAccount
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
 from .lineage import Lineage
-from .plan import Plan, PlanNode
+from .plan import Plan, PlanNode, check_on_error
 
 
 class TaskError(Exception):
-    """A task failed after exhausting its retries."""
+    """A task failed under the ``fail`` policy."""
 
     def __init__(self, node_name: str, record: Any, cause: Exception):
         super().__init__(f"task in node {node_name!r} failed: {cause}")
@@ -39,13 +45,6 @@ class TaskError(Exception):
         self.record = record
         self.cause = cause
 
-
-#: Valid per-node failure-containment policies. ``fail`` aborts on the
-#: first failure (no retries); ``retry`` retries then aborts (the
-#: historical default); ``skip`` retries then silently drops the record;
-#: ``dead_letter`` retries then captures (record, node, cause) in the
-#: run's dead-letter queue and drops the record from the output.
-ON_ERROR_POLICIES = ("fail", "retry", "skip", "dead_letter")
 
 #: Sentinel emitted by a contained failure; filtered out before yield.
 _DROPPED = object()
@@ -72,7 +71,6 @@ class NodeStats:
 
     records_in: int = 0
     records_out: int = 0
-    retries: int = 0
     skipped: int = 0
     dead_lettered: int = 0
     wall_time_s: float = 0.0
@@ -125,13 +123,10 @@ class Executor:
     ----------
     parallelism:
         Worker threads for per-record operators. 1 = fully sequential.
-    max_task_retries:
-        How many times a failing per-record task is retried before its
-        node's ``on_error`` policy decides the record's fate.
     on_error:
         Default failure-containment policy for nodes that do not carry
-        their own (see :data:`ON_ERROR_POLICIES`). ``retry`` preserves
-        the historical abort-after-retries behaviour.
+        their own (see :data:`ON_ERROR_POLICIES`). A task runs once; its
+        policy decides what a failure does to the record.
     lineage:
         Optional :class:`Lineage` tracker; when given, map/flat_map over
         objects with a ``doc_id`` records derivation edges.
@@ -150,17 +145,16 @@ class Executor:
         rolled up from the execution's spans once it has completed.
     registry:
         :class:`~repro.observability.MetricsRegistry` for aggregate
-        record/retry counters (default: the process registry).
+        record counters (default: the process registry).
         :class:`ExecutionStats` remains the per-run view.
     """
 
     def __init__(
         self,
         parallelism: int = 1,
-        max_task_retries: int = 0,
         lineage: Optional[Lineage] = None,
         batch_size: int = 32,
-        on_error: str = "retry",
+        on_error: str = "fail",
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -168,12 +162,8 @@ class Executor:
             raise ValueError("parallelism must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"unknown on_error policy {on_error!r}; known: {ON_ERROR_POLICIES}"
-            )
+        check_on_error(on_error)
         self.parallelism = parallelism
-        self.max_task_retries = max_task_retries
         self.lineage = lineage
         self.batch_size = batch_size
         self.on_error = on_error
@@ -183,7 +173,6 @@ class Executor:
         self._m_executions = reg.counter("executor.executions")
         self._m_records_in = reg.counter("executor.records_in")
         self._m_records_out = reg.counter("executor.records_out")
-        self._m_retries = reg.counter("executor.task_retries")
         self._m_skipped = reg.counter("executor.records_skipped")
         self._m_dead_lettered = reg.counter("executor.records_dead_lettered")
         self._m_node_wall_s = reg.histogram("executor.node_wall_s")
@@ -391,9 +380,9 @@ class Executor:
             start = time.perf_counter()
             if span is not None and self.tracer is not None:
                 with self.tracer.attach(span):
-                    result = self._apply_with_retry(node, record, node_stats, stats)
+                    result = self._apply(node, record, node_stats, stats)
             else:
-                result = self._apply_with_retry(node, record, node_stats, stats)
+                result = self._apply(node, record, node_stats, stats)
             node_stats.wall_time_s += time.perf_counter() - start
             yield from self._emit(node, record, result, mode, node_stats)
 
@@ -439,7 +428,7 @@ class Executor:
                         task_ctx = contextvars.copy_context()
                     future = pool.submit(
                         task_ctx.run,
-                        self._apply_with_retry,
+                        self._apply,
                         node,
                         record,
                         node_stats,
@@ -481,42 +470,24 @@ class Executor:
                     yield from self._emit(node, record, result, mode, node_stats)
         node_stats.wall_time_s += time.perf_counter() - start
 
-    def _apply_with_retry(
+    def _apply(
         self, node: PlanNode, record: Any, node_stats: NodeStats, stats: ExecutionStats
     ) -> Any:
+        """Run one task once; a failure goes to the node's policy."""
         assert node.fn is not None
+        # Record boundaries are cooperative checkpoints.
+        check_scope()
+        try:
+            return node.fn(record)
+        except LifecycleError:
+            # Deadline expiry and cancellation are query-level verdicts,
+            # not task failures: never skipped or dead-lettered.
+            raise
+        except Exception as exc:  # noqa: BLE001 - contain any task failure
+            cause = exc
         policy = node.on_error or self.on_error
-        if policy not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"unknown on_error policy {policy!r} on node {node.name!r}"
-            )
-        retries = node.retries if node.retries is not None else self.max_task_retries
         if policy == "fail":
-            retries = 0
-        attempts = retries + 1
-        last_error: Optional[Exception] = None
-        for attempt in range(attempts):
-            # Record boundaries are cooperative checkpoints, and an
-            # expired/cancelled query must not burn retries.
-            check_scope()
-            try:
-                return node.fn(record)
-            except LifecycleError:
-                # Deadline expiry and cancellation are query-level
-                # verdicts, not task failures: never retried, skipped,
-                # or dead-lettered.
-                raise
-            except Exception as exc:  # noqa: BLE001 - contain any task failure
-                last_error = exc
-                # Only an attempt that will actually be re-tried counts as
-                # a retry; the terminal failure is not one.
-                if attempt + 1 < attempts:
-                    with _stats_lock:
-                        node_stats.retries += 1
-                    self._m_retries.inc()
-        assert last_error is not None
-        if policy in ("fail", "retry"):
-            raise TaskError(node.name, record, last_error)
+            raise TaskError(node.name, record, cause)
         if policy == "skip":
             with _stats_lock:
                 node_stats.skipped += 1
@@ -524,7 +495,7 @@ class Executor:
             return _DROPPED
         with _stats_lock:  # dead_letter
             node_stats.dead_lettered += 1
-            stats.dead_letters.append(DeadLetter(node.name, record, last_error))
+            stats.dead_letters.append(DeadLetter(node.name, record, cause))
         self._m_dead_lettered.inc()
         return _DROPPED
 

@@ -75,7 +75,6 @@ def plan_fingerprint(plan: Any) -> str:
             "kind": n.kind,
             "name": _AUTO_NAME_SUFFIX.sub("", n.name),
             "on_error": n.on_error,
-            "retries": n.retries,
         }
         for n in node.lineage_chain()
     ]

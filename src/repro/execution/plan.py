@@ -16,6 +16,20 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 _counter = itertools.count()
 
+#: Per-record failure-containment policies. A task runs once; on failure
+#: ``fail`` aborts the execution with a ``TaskError``, ``skip`` silently
+#: drops the record, and ``dead_letter`` captures (record, node, cause) in
+#: the run's dead-letter queue and drops the record from the output.
+ON_ERROR_POLICIES = ("fail", "skip", "dead_letter")
+
+
+def check_on_error(policy: str) -> None:
+    """Reject an unknown failure-containment policy."""
+    if policy not in ON_ERROR_POLICIES:
+        raise ValueError(
+            f"unknown error policy {policy!r}; known: {ON_ERROR_POLICIES}"
+        )
+
 
 def _auto_name(kind: str) -> str:
     return f"{kind}_{next(_counter)}"
@@ -38,17 +52,18 @@ class PlanNode:
     items_fn: Optional[Callable[[], Iterable[Any]]] = None
     parent: Optional["PlanNode"] = None
     cache: Any = None
-    #: Failure-containment policy for per-record failures: ``fail`` |
-    #: ``retry`` | ``skip`` | ``dead_letter``. ``None`` defers to the
-    #: executor's default (see Executor.on_error).
+    #: Failure-containment policy for per-record failures (one of
+    #: :data:`ON_ERROR_POLICIES`). ``None`` defers to the executor's
+    #: default (see Executor.on_error).
     on_error: Optional[str] = None
-    #: Per-node retry override; ``None`` defers to the executor's
-    #: ``max_task_retries``.
-    retries: Optional[int] = None
     #: A ``filter`` whose predicate is pure in-memory work that cannot
     #: fail (a property comparison): the executor applies it in the
-    #: pulling thread, with no span, retry wrapper or pool task.
+    #: pulling thread, with no span, containment policy or pool task.
     inline: bool = False
+
+    def __post_init__(self) -> None:
+        if self.on_error is not None:
+            check_on_error(self.on_error)
 
     def lineage_chain(self) -> List["PlanNode"]:
         """Nodes from source to this node, in execution order."""
@@ -94,7 +109,6 @@ class Plan:
         fn: Callable[[Any], Any],
         name: Optional[str] = None,
         on_error: Optional[str] = None,
-        retries: Optional[int] = None,
     ) -> "Plan":
         """Per-record transform node (pipelined, parallelizable)."""
         return Plan(
@@ -104,7 +118,6 @@ class Plan:
                 fn=fn,
                 parent=self.node,
                 on_error=on_error,
-                retries=retries,
             )
         )
 
@@ -113,7 +126,6 @@ class Plan:
         fn: Callable[[Any], bool],
         name: Optional[str] = None,
         on_error: Optional[str] = None,
-        retries: Optional[int] = None,
         inline: bool = False,
     ) -> "Plan":
         """Per-record predicate node; keeps matching records."""
@@ -124,7 +136,6 @@ class Plan:
                 fn=fn,
                 parent=self.node,
                 on_error=on_error,
-                retries=retries,
                 inline=inline,
             )
         )
@@ -134,7 +145,6 @@ class Plan:
         fn: Callable[[Any], Iterable[Any]],
         name: Optional[str] = None,
         on_error: Optional[str] = None,
-        retries: Optional[int] = None,
     ) -> "Plan":
         """Per-record expansion node (zero or more outputs each)."""
         return Plan(
@@ -144,7 +154,6 @@ class Plan:
                 fn=fn,
                 parent=self.node,
                 on_error=on_error,
-                retries=retries,
             )
         )
 

@@ -36,7 +36,7 @@ Invariants:
   injectors and may exceed any single injector's ledger.
 """
 
-from .injector import FaultInjector, FaultyLLM, InjectedFault
+from .injector import FaultInjector, FaultyLLM
 from .schedule import (
     BROWNOUT,
     BrownoutWindow,
@@ -53,5 +53,4 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "FaultyLLM",
-    "InjectedFault",
 ]

@@ -1,4 +1,4 @@
-"""Fault injection: wrap LLM clients and task functions with a schedule.
+"""Fault injection: wrap LLM clients with a schedule.
 
 The :class:`FaultInjector` assigns each intercepted call the next call
 index (thread-safe) and consults its :class:`FaultSchedule` for what to
@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..llm.base import LLMClient, LLMResponse
 from ..llm.errors import LLMTimeoutError, RateLimitError, TransientLLMError
@@ -19,18 +19,10 @@ from ..observability.metrics import MetricsRegistry, get_registry
 from .schedule import BROWNOUT, RATE_LIMIT_RETRY_AFTER_S, FaultDecision, FaultSchedule
 
 
-class InjectedFault(RuntimeError):
-    """A non-LLM task failure injected by the harness."""
-
-    def __init__(self, decision: FaultDecision):
-        super().__init__(f"injected {decision.kind} fault (call {decision.index})")
-        self.decision = decision
-
-
 class FaultInjector:
     """Hands out fault decisions and keeps the injection ledger.
 
-    One injector can wrap several clients/functions; they share the call
+    One injector can wrap several clients; they share the call
     counter, so the schedule's indexes cover the whole run.
 
     ``registry`` (default: the process registry) receives aggregate
@@ -90,21 +82,6 @@ class FaultInjector:
     def wrap_llm(self, client: LLMClient) -> "FaultyLLM":
         """An LLMClient that injects this schedule in front of ``client``."""
         return FaultyLLM(client, self, sleeper=self._sleeper)
-
-    def wrap_fn(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """Wrap an executor task fn so scheduled calls fail with
-        :class:`InjectedFault` (latency spikes sleep, malformed is a no-op
-        for plain functions)."""
-
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            decision = self.next_decision()
-            if decision.kind in ("transient", BROWNOUT, "timeout", "rate_limit"):
-                raise InjectedFault(decision)
-            if decision.kind == "latency":
-                self._sleeper(decision.latency_s)
-            return fn(*args, **kwargs)
-
-        return wrapped
 
 
 class FaultyLLM(LLMClient):

@@ -2,11 +2,15 @@
 
 Sycamore "handles retries and model-specific details like parsing the
 output as JSON" (§5.2). This module is that layer: exponential-backoff
-retry (with a per-run retry budget and per-request timeouts) for
-transient failures, a circuit breaker that fails fast during backend
-brownouts, JSON-mode completion with output repair, a bounded LRU
-response cache, and a batch API used by the execution engine to
-parallelize per-document LLM transforms.
+retry (with per-request timeouts) for transient failures, a circuit
+breaker that fails fast during backend brownouts, JSON-mode completion
+with output repair, a bounded LRU response cache, and a batch API used
+by the execution engine to parallelize per-document LLM transforms.
+
+It is the only place anything is retried in-process.
+:meth:`ReliableLLM.complete` owns transport errors (429, 5xx, timeout)
+and :meth:`ReliableLLM.complete_json` owns malformed output; the layers
+above run a failed call once and hand it to their containment policy.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from .errors import (
 #: Threads of the pool one client shares among its parallel
 #: :meth:`ReliableLLM.complete_many` calls.
 BATCH_POOL_WORKERS = 16
+
+#: Re-asks :meth:`ReliableLLM.complete_json` makes after malformed output,
+#: so one JSON completion costs at most ``JSON_RETRIES + 1`` asks.
+JSON_RETRIES = 2
 
 
 def repair_json(text: str) -> Any:
@@ -207,25 +215,17 @@ class ReliableLLM(LLMClient):
     Parameters
     ----------
     max_retries:
-        Retries per request for transient failures.
+        Retries per request for transient failures, so one request costs
+        at most ``max_retries + 1`` backend asks. Only a failure that is
+        followed by another attempt backs off and counts as a retry.
+        The ambient query deadline (:class:`~repro.lifecycle.CancelScope`)
+        stops further attempts and clamps every backoff sleep.
     backoff_base_s:
-        Exponential backoff base: attempt ``n`` sleeps ``base * 2**n``.
-    retry_budget:
-        Optional cap on *total* retries across the life of this client —
-        a run-level budget so a brownout cannot multiply per-request
-        retries across thousands of documents. When exhausted, transient
-        failures are raised immediately.
+        Exponential backoff base: retry ``n`` (from 0) sleeps
+        ``base * 2**n``.
     request_timeout_s:
         Optional per-request deadline. A backend call whose wall-clock
         duration exceeds it raises :class:`LLMTimeoutError` (retryable).
-    total_timeout_s:
-        Optional *overall* wall-clock budget for one logical request
-        across **all** attempts and backoff sleeps. Without it, the
-        worst case is ``attempts × (request_timeout_s + backoff)`` —
-        per-attempt timeouts silently compound. With it, backoff sleeps
-        are clamped to the remaining budget and a request whose budget
-        is exhausted raises :class:`LLMTimeoutError` instead of starting
-        another attempt (counted separately as ``overall_timeouts``).
     circuit_breaker:
         Optional :class:`CircuitBreaker`. Consecutive backend failures
         open it; while open, calls fail fast with
@@ -254,9 +254,7 @@ class ReliableLLM(LLMClient):
         backoff_base_s: float = 0.05,
         cache_enabled: bool = True,
         cache_max_entries: int = 4096,
-        retry_budget: Optional[int] = None,
         request_timeout_s: Optional[float] = None,
-        total_timeout_s: Optional[float] = None,
         circuit_breaker: Optional[CircuitBreaker] = None,
         sleeper: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
@@ -271,9 +269,7 @@ class ReliableLLM(LLMClient):
         self.backoff_base_s = backoff_base_s
         self.cache_enabled = cache_enabled
         self.cache_max_entries = cache_max_entries
-        self.retry_budget = retry_budget
         self.request_timeout_s = request_timeout_s
-        self.total_timeout_s = total_timeout_s
         self.circuit_breaker = circuit_breaker
         self._sleeper = sleeper
         self._clock = clock
@@ -289,8 +285,6 @@ class ReliableLLM(LLMClient):
         self.cache_misses = 0
         self.cache_evictions = 0
         self.timeouts = 0
-        self.overall_timeouts = 0
-        self.budget_exhaustions = 0
         self.tracker = tracker if tracker is not None else getattr(
             backend, "tracker", None
         )
@@ -303,8 +297,6 @@ class ReliableLLM(LLMClient):
         self._m_cache_misses = reg.counter("llm.cache_misses")
         self._m_cache_evictions = reg.counter("llm.cache_evictions")
         self._m_timeouts = reg.counter("llm.timeouts")
-        self._m_overall_timeouts = reg.counter("llm.overall_timeouts")
-        self._m_budget_exhaustions = reg.counter("llm.budget_exhaustions")
         self._m_circuit_rejections = reg.counter("llm.circuit_rejections")
         self._m_input_tokens = reg.counter("llm.input_tokens")
         self._m_output_tokens = reg.counter("llm.output_tokens")
@@ -321,8 +313,6 @@ class ReliableLLM(LLMClient):
                 "cache_misses": self.cache_misses,
                 "cache_evictions": self.cache_evictions,
                 "timeouts": self.timeouts,
-                "overall_timeouts": self.overall_timeouts,
-                "budget_exhaustions": self.budget_exhaustions,
             }
         counters["cache_size"] = self.cache_size()
         if self.circuit_breaker is not None:
@@ -384,15 +374,15 @@ class ReliableLLM(LLMClient):
             self._m_cache_misses.inc()
 
         last_error: Optional[Exception] = None
-        retries_used = 0
-        overall_started = self._clock()
         for attempt in range(self.max_retries + 1):
+            if attempt > 0:
+                # A failure followed by another attempt is a retry; the
+                # terminal failure neither backs off nor counts as one.
+                self._back_off(last_error, attempt - 1)
             # Cooperative lifecycle checkpoint: a cancelled or expired
             # query stops retrying here with its typed error instead of
             # burning the remaining attempts.
             check_scope()
-            if attempt > 0:
-                self._check_overall(overall_started, last_error)
             if self.circuit_breaker is not None and not self.circuit_breaker.allow():
                 self._m_circuit_rejections.inc()
                 raise CircuitOpenError(
@@ -407,20 +397,10 @@ class ReliableLLM(LLMClient):
                     temperature=temperature,
                 )
                 self._enforce_timeout(started)
-            except RateLimitError as exc:
-                last_error = exc
-                self._note_failure()
-                self._spend_retry(exc)
-                retries_used += 1
-                self._sleep_backoff(
-                    max(exc.retry_after_s, self._backoff(attempt)), overall_started
-                )
             except TransientLLMError as exc:
                 last_error = exc
-                self._note_failure()
-                self._spend_retry(exc)
-                retries_used += 1
-                self._sleep_backoff(self._backoff(attempt), overall_started)
+                if self.circuit_breaker is not None:
+                    self.circuit_breaker.record_failure()
             else:
                 if self.circuit_breaker is not None:
                     self.circuit_breaker.record_success()
@@ -454,7 +434,7 @@ class ReliableLLM(LLMClient):
                 with self._counter_lock:
                     self.cache_evictions += evicted
                 self._m_cache_evictions.inc(evicted)
-        self._account(span, response, retries=retries_used)
+        self._account(span, response, retries=attempt)
         return response
 
     def _account(
@@ -488,17 +468,17 @@ class ReliableLLM(LLMClient):
         prompt: str,
         model: str = "sim-large",
         max_output_tokens: Optional[int] = None,
-        json_retries: int = 2,
     ) -> Any:
-        """Complete and parse the output as JSON, retrying malformed output.
+        """Complete and parse the output as JSON, re-asking up to
+        :data:`JSON_RETRIES` times on malformed output.
 
-        Retries bypass the response cache (a cached malformed answer would
+        Re-asks bypass the response cache (a cached malformed answer would
         never heal) and nudge the temperature so a stochastic backend can
         produce different output. :class:`~repro.runtime.ScheduledLLM`
         runs this same loop through the scheduler.
         """
         last_error: Optional[MalformedOutputError] = None
-        for attempt in range(json_retries + 1):
+        for attempt in range(JSON_RETRIES + 1):
             temperature = 0.0 if attempt == 0 else 0.1
             response = self.complete(
                 prompt,
@@ -608,62 +588,22 @@ class ReliableLLM(LLMClient):
                 timeout_s=self.request_timeout_s,
             )
 
-    def _overall_remaining(self, overall_started: float) -> Optional[float]:
-        """Wall-clock budget left for this logical request (all attempts)."""
-        if self.total_timeout_s is None:
-            return None
-        return self.total_timeout_s - (self._clock() - overall_started)
-
-    def _check_overall(
-        self, overall_started: float, cause: Optional[Exception]
-    ) -> None:
-        """Refuse to start another attempt past the overall budget."""
-        remaining = self._overall_remaining(overall_started)
-        if remaining is not None and remaining <= 0:
-            with self._counter_lock:
-                self.overall_timeouts += 1
-            self._m_overall_timeouts.inc()
-            elapsed = self._clock() - overall_started
-            raise LLMTimeoutError(
-                f"overall budget of {self.total_timeout_s}s exhausted "
-                f"({elapsed:.3f}s across attempts)",
-                timeout_s=float(self.total_timeout_s or 0.0),
-            ) from cause
-
-    def _sleep_backoff(self, delay: float, overall_started: float) -> None:
-        """Backoff clamped so sleeps never outlive the overall budget or
-        the ambient query deadline (the compounding-timeout fix)."""
-        remaining = self._overall_remaining(overall_started)
-        if remaining is not None:
-            delay = min(delay, max(remaining, 0.0))
+    def _back_off(self, cause: Optional[Exception], retry: int) -> None:
+        """Count retry number ``retry`` (from 0) and sleep before it:
+        exponential backoff, at least a 429's ``retry_after_s``, and never
+        past the ambient query deadline (the compounding-timeout fix)."""
+        with self._counter_lock:
+            self.retries_performed += 1
+        self._m_retries.inc()
+        delay = self.backoff_base_s * (2**retry)
+        if isinstance(cause, RateLimitError):
+            delay = max(cause.retry_after_s, delay)
         budget = remaining_budget()
         if budget is not None:
             delay = min(delay, budget)
         if delay > 0:
             self._sleeper(delay)
 
-    def _note_failure(self) -> None:
-        if self.circuit_breaker is not None:
-            self.circuit_breaker.record_failure()
-
-    def _spend_retry(self, cause: Exception) -> None:
-        """Charge one retry against the run budget, or give up."""
-        with self._counter_lock:
-            if (
-                self.retry_budget is not None
-                and self.retries_performed >= self.retry_budget
-            ):
-                self.budget_exhaustions += 1
-                self._m_budget_exhaustions.inc()
-                raise TransientLLMError(
-                    f"retry budget of {self.retry_budget} exhausted"
-                ) from cause
-            self.retries_performed += 1
-        self._m_retries.inc()
-
     def _drop_cached(self, model: str, prompt: str, max_output_tokens: Optional[int]) -> None:
         with self._cache_lock:
             self._cache.pop((model, prompt, max_output_tokens), None)
-
-    def _backoff(self, attempt: int) -> float:
-        return self.backoff_base_s * (2**attempt)

@@ -18,7 +18,6 @@ from .diff import diff_plans
 from .history import HistoryEntry, QueryHistory
 from .executor import (
     ExecutionTrace,
-    LUNA_ERROR_POLICIES,
     LunaExecutor,
     PlanExecutionError,
     TraceEntry,
@@ -44,7 +43,6 @@ __all__ = [
     "BALANCED_POLICY",
     "COST_POLICY",
     "ExecutionTrace",
-    "LUNA_ERROR_POLICIES",
     "LogicalPlan",
     "Luna",
     "LunaExecutor",

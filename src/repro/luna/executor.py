@@ -4,8 +4,8 @@
 large datasets benefits from distributed processing" (§6.1). The
 executor is a DAG walker: each node is lowered to the DocSet call that
 defines it (:mod:`repro.luna.lowering`) and run over its materialised
-inputs, so per-record LLM operators parallelize and retry exactly like
-hand-written DocSet pipelines.
+inputs, so per-record LLM operators parallelize and contain failures
+exactly like hand-written DocSet pipelines.
 
 Every node's execution is traced — operation, inputs, record counts,
 duration, and LLM spend — giving the "detailed trace of how the answer
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..docmodel.document import Document
+from ..execution.plan import check_on_error
 from ..lifecycle.deadline import QueryCancelled, check_scope
 from ..observability.cost import CostAccount
 from ..optimizer.report import OptimizerReport
@@ -164,14 +165,6 @@ def _op_span_name(index: int, operation: str) -> str:
     return f"op[{index}]:{operation}"
 
 
-#: Error policies the Luna executor understands. ``fail`` aborts the
-#: query on any operator failure (the historical behaviour); ``skip`` and
-#: ``dead_letter`` contain per-record failures inside LLM operators with
-#: the matching DocSet policy AND degrade whole-operator failures into
-#: trace entries instead of raising, flagging the answer as partial.
-LUNA_ERROR_POLICIES = ("fail", "skip", "dead_letter")
-
-
 @dataclass
 class _NodeStats:
     """What running one node reports besides its output: records lost to
@@ -192,15 +185,19 @@ class LunaExecutor:
     """Walks a validated logical plan, running each node's lowering
     (:data:`repro.luna.lowering.LOWERING`) over its materialised inputs.
 
+    ``error_policy`` is one of :data:`~repro.execution.ON_ERROR_POLICIES`.
+    ``fail`` aborts the query on any operator failure; ``skip`` and
+    ``dead_letter`` contain per-record failures inside LLM operators with
+    the matching DocSet policy (in-process or on a cluster shard) AND
+    degrade whole-operator failures into trace entries instead of
+    raising, flagging the answer as partial.
+
     It keeps no per-query state: everything one execution learns travels
     in return values, so one executor serves concurrent queries.
     """
 
     def __init__(self, context: SycamoreContext, error_policy: str = "fail"):
-        if error_policy not in LUNA_ERROR_POLICIES:
-            raise ValueError(
-                f"unknown error_policy {error_policy!r}; known: {LUNA_ERROR_POLICIES}"
-            )
+        check_on_error(error_policy)
         self.context = context
         self.error_policy = error_policy
 
@@ -355,8 +352,7 @@ class LunaExecutor:
         for source, value in zip(sources, inputs):
             if lowered is source:  # handed back untouched: nothing to run
                 return value, _NodeStats()
-        on_error = None if self.error_policy == "fail" else self.error_policy
-        documents, run = lowered.execute(on_error=on_error)
+        documents, run = lowered.execute(on_error=self.error_policy)
         return documents, _NodeStats(
             dead_lettered=run.total_dead_lettered(), skipped=run.total_skipped()
         )
@@ -398,6 +394,7 @@ class LunaExecutor:
                 )
             ],
             default_model=self.context.default_model,
+            error_policy=self.error_policy,
         )
         try:
             result = cluster.run_segment(

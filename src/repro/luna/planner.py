@@ -8,7 +8,10 @@ data sources. The LLM generates the plan in JSON format" (§6.1).
 The planner prompt carries the question, the target index's discovered
 schema, and the operator vocabulary with one-line documentation. The
 returned JSON is validated; invalid plans are retried (a fresh sample)
-and, failing that, structurally repaired where possible.
+and, failing that, structurally repaired where possible. Re-planning is
+the planner's own retry: only it can judge a plan invalid. Malformed JSON
+is already re-asked by ``complete_json`` and transport errors by the
+reliability layer, so neither is asked again here.
 """
 
 from __future__ import annotations
@@ -43,19 +46,17 @@ OPERATOR_DOCS: Dict[str, str] = {
     "Identity": "Pass records through unchanged.",
 }
 
+#: Re-plans after a plan fails validation, so one question costs at most
+#: ``MAX_PLAN_RETRIES + 1`` well-formed planner responses.
+MAX_PLAN_RETRIES = 2
+
 
 class LunaPlanner:
     """Generates and validates logical plans for one index."""
 
-    def __init__(
-        self,
-        llm: LLMClient,
-        model: str = "sim-large",
-        max_plan_retries: int = 2,
-    ):
+    def __init__(self, llm: LLMClient, model: str = "sim-large"):
         self.llm = llm
         self.model = model
-        self.max_plan_retries = max_plan_retries
 
     # ------------------------------------------------------------------
 
@@ -90,19 +91,23 @@ class LunaPlanner:
         index: NamedIndex,
         secondary: Sequence[NamedIndex] = (),
     ) -> LogicalPlan:
-        """Produce a validated plan, retrying/repairing invalid output.
+        """Produce a validated plan, re-planning/repairing invalid plans.
+
+        Output that is not JSON even after ``complete_json``'s re-asks
+        raises :class:`PlanValidationError` at once.
 
         ``secondary`` lists additional data sources the planner may join
         against — the paper's data-integration pattern (§1).
         """
         prompt = self.build_prompt(question, index, secondary)
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_plan_retries + 1):
+        last_error: Optional[PlanValidationError] = None
+        for attempt in range(MAX_PLAN_RETRIES + 1):
             try:
                 payload = self.llm.complete_json(prompt, model=self.model)
             except MalformedOutputError as exc:
-                last_error = exc
-                continue
+                raise PlanValidationError(
+                    f"could not produce a valid plan for {question!r}: {exc}"
+                ) from exc
             try:
                 plan = LogicalPlan.from_json(payload)
                 plan = self._repair(plan, index)

@@ -28,7 +28,7 @@ collection scale. This module is that serving substrate:
 
 The scheduler composes with the reliability layer: its client is normally
 a :class:`repro.llm.client.ReliableLLM`, so every dispatched batch enjoys
-retries, the circuit breaker, the retry budget, and the response cache —
+transport retries, the circuit breaker, and the response cache —
 and chaos schedules injected *below* the reliability layer exercise the
 queue under brownouts (see tests/test_scheduler.py).
 """

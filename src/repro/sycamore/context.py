@@ -59,10 +59,9 @@ class SycamoreContext:
         llm: Optional[LLMClient] = None,
         embedder: Optional[Embedder] = None,
         parallelism: int = 1,
-        max_task_retries: int = 2,
         default_model: str = "sim-large",
         seed: int = 0,
-        on_error: str = "retry",
+        on_error: str = "fail",
         scheduler: Optional[RequestScheduler] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -92,7 +91,6 @@ class SycamoreContext:
         self.catalog = IndexCatalog(embedder=self.embedder)
         self.lineage = Lineage()
         self.parallelism = parallelism
-        self.max_task_retries = max_task_retries
         self.default_model = default_model
         self.on_error = on_error
         #: Optional :class:`repro.cluster.ClusterCoordinator`. When set,
@@ -102,7 +100,7 @@ class SycamoreContext:
         #: creator owns its lifecycle, ``close()`` leaves it running.
         self.cluster = None
         #: ExecutionStats of the most recent DocSet terminal run through
-        #: this context (dead letters, skips, retries — see repro.execution).
+        #: this context (dead letters, skips — see repro.execution).
         self.last_stats = None
         self.read = _Readers(self)
 
@@ -149,7 +147,6 @@ class SycamoreContext:
         """
         return Executor(
             parallelism=self.parallelism,
-            max_task_retries=self.max_task_retries,
             lineage=self.lineage,
             on_error=on_error or self.on_error,
             tracer=self.tracer,

@@ -61,7 +61,7 @@ class DocSet:
         """Apply an arbitrary per-document UDF.
 
         ``on_error`` sets this transform's failure-containment policy
-        (``fail`` | ``retry`` | ``skip`` | ``dead_letter``); the default
+        (``fail`` | ``skip`` | ``dead_letter``); the default
         defers to the context.
         """
         return DocSet(self.context, self.plan.map(fn, name=name, on_error=on_error))

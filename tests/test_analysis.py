@@ -870,14 +870,14 @@ GOOD_PLAN_PAYLOAD = [
 class TestPlannerIntegration:
     def test_planner_rejects_bad_sample_and_replans_once(self):
         llm = ScriptedPlannerLLM([BAD_PLAN_PAYLOAD, GOOD_PLAN_PAYLOAD])
-        planner = LunaPlanner(llm, max_plan_retries=2)
+        planner = LunaPlanner(llm)
         result = planner.plan("how many CA incidents?", scripted_index())
         assert llm.calls == 2
         assert result.nodes[1].params["field"] == "state"
 
     def test_planner_gives_up_after_retries(self):
         llm = ScriptedPlannerLLM([BAD_PLAN_PAYLOAD] * 3)
-        planner = LunaPlanner(llm, max_plan_retries=2)
+        planner = LunaPlanner(llm)
         with pytest.raises(PlanValidationError):
             planner.plan("how many CA incidents?", scripted_index())
         assert llm.calls == 3

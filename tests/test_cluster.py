@@ -41,7 +41,6 @@ from repro.cluster import (
     ClusterError,
     SpillableDocSet,
 )
-from repro.cluster.coordinator import MAX_SHARD_RETRIES
 from repro.cluster.bench import generate_bench_corpus
 from repro.cluster.envelope import (
     _UNPICKLABLE_TYPES,
@@ -62,6 +61,9 @@ from repro.indexes.sharded import ShardedKeywordIndex, ShardedVectorIndex
 from repro.indexes.vector import VectorIndex
 from repro.lifecycle import CancelScope, Deadline, DeadlineExceeded, QueryJournal
 from repro.luna import Luna
+from repro.luna.executor import LunaExecutor
+from repro.luna.operators import LogicalPlan
+from repro.luna.operators import PlanNode as LunaPlanNode
 from repro.serving import Overloaded
 
 EXTRACT_SPEC = ShardPlanSpec.from_ops(
@@ -221,6 +223,19 @@ class TestEnvelopes:
         c = ShardPlanSpec.from_ops([ShardOp.make("LlmExtract", field="g")])
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+    def test_fingerprint_tracks_error_policy(self):
+        ops = [ShardOp.make("LlmExtract", field="f")]
+        fail = ShardPlanSpec.from_ops(ops)
+        dead_letter = ShardPlanSpec.from_ops(ops, error_policy="dead_letter")
+        assert fail.error_policy == "fail"
+        assert fail.fingerprint() != dead_letter.fingerprint()
+
+    def test_unknown_error_policy_rejected(self):
+        with pytest.raises(ValueError, match="retry"):
+            ShardPlanSpec.from_ops(
+                [ShardOp.make("LlmExtract", field="f")], error_policy="retry"
+            )
 
 
 class TestEnvelopeHardening:
@@ -482,6 +497,10 @@ class TestClusterExecution:
         assert _doc_bytes(second.documents) == _doc_bytes(first.documents)
 
     def test_a_failing_shard_stops_at_the_retry_bound(self):
+        # A shard that reports an error was run to completion under the
+        # spec's containment policy; running it again would ask the same
+        # questions of the same records. It is dispatched once. Only a
+        # dead worker's shard is re-dispatched.
         spec = ShardPlanSpec.from_ops(
             [ShardOp.make("LlmExtract", field="cause", type="string")],
             default_model="no-such-model",
@@ -491,8 +510,8 @@ class TestClusterExecution:
             with pytest.raises(ClusterError) as excinfo:
                 coordinator.run_segment(generate_bench_corpus(2), spec)
             stats = coordinator.stats()
-        assert excinfo.value.attempts == MAX_SHARD_RETRIES + 1
-        assert stats["shards"]["retried"] == MAX_SHARD_RETRIES
+        assert excinfo.value.attempts == 1
+        assert stats["shards"]["retried"] == 0
 
     def test_closed_coordinator_rejects_segments(self):
         coordinator = ClusterCoordinator(ClusterConfig(n_workers=1))
@@ -528,6 +547,43 @@ class TestLunaClusterRouting:
         # Worker-side LLM traffic is folded into the parent trace, so
         # cost accounting survives the process boundary.
         assert routed.trace.total_llm_calls() >= stats["shards"]["completed"]
+
+    def test_routed_operator_honours_the_query_error_policy(self, indexed_context):
+        # Every record of the filter fails (unknown model). Under
+        # dead_letter both paths drop each record to the dead-letter
+        # queue and flag the answer partial; the cluster must not retry
+        # the shard and then degrade the filter into a pass-through.
+        ctx = indexed_context
+        failing = LogicalPlan(
+            nodes=[
+                LunaPlanNode(operation="QueryIndex", params={"index": "ntsb"}),
+                LunaPlanNode(
+                    operation="LlmFilter",
+                    inputs=[0],
+                    params={"condition": "caused by wind", "model": "no-such-model"},
+                ),
+                LunaPlanNode(operation="Count", inputs=[1]),
+            ]
+        )
+        executor = LunaExecutor(ctx, error_policy="dead_letter")
+        local_answer, local = executor.execute(failing)
+        config = ClusterConfig(n_workers=1, shards_per_worker=1, min_cluster_docs=1)
+        try:
+            with ClusterCoordinator(
+                config, tracer=ctx.tracer, registry=ctx.registry
+            ) as coordinator:
+                ctx.cluster = coordinator
+                routed_answer, routed = executor.execute(failing)
+                stats = coordinator.stats()
+        finally:
+            ctx.cluster = None
+        n_docs = len(ctx.catalog.get("ntsb").all_documents())
+        assert local_answer == routed_answer == 0
+        assert local.total_dead_lettered() == routed.total_dead_lettered() == n_docs
+        assert local.partial and routed.partial
+        assert local.errors == routed.errors == []
+        assert stats["shards"]["completed"] == 1
+        assert stats["shards"]["retried"] == 0
 
     def test_small_inputs_stay_in_process(self, indexed_context):
         ctx = indexed_context

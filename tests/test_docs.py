@@ -1,15 +1,40 @@
-"""The docs name only paths and anchors that exist.
+"""The docs name only paths and anchors that exist, and state the
+numbers the code has.
 
 Runs ``scripts/check_doc_links.py`` in-process, so a doc that still
 names a deleted file fails Tier-1 and not only the CI ``docs`` job.
 """
 
+import re
 import runpy
 from pathlib import Path
 
-CHECKER = Path(__file__).resolve().parent.parent / "scripts" / "check_doc_links.py"
+from repro.cluster.coordinator import MAX_SHARD_RETRIES
+from repro.llm import ReliableLLM, SimulatedLLM
+from repro.llm.client import JSON_RETRIES
+from repro.luna.planner import MAX_PLAN_RETRIES
+
+REPO = Path(__file__).resolve().parent.parent
+CHECKER = REPO / "scripts" / "check_doc_links.py"
 
 
 def test_doc_links_and_path_references_resolve(capsys):
     status = runpy.run_path(str(CHECKER))["main"]()
     assert status == 0, capsys.readouterr().out
+
+
+def test_failure_ownership_table_matches_the_retry_constants():
+    """DESIGN.md's failure-ownership table: owner -> maximum asks."""
+    text = (REPO / "DESIGN.md").read_text()
+    table = text.split("| Failure class | Owner | Maximum asks |", 1)[1].split("\n\n", 1)[0]
+    asks = {}
+    for row in table.strip().splitlines()[1:]:  # skip the |---| rule
+        _, owner, maximum = [cell.strip() for cell in row.strip("|").split("|")]
+        asks[owner.split("`")[1]] = int(re.match(r"\d+", maximum).group())
+    assert asks == {
+        "ReliableLLM.complete": ReliableLLM(SimulatedLLM()).max_retries + 1,
+        "ReliableLLM.complete_json": JSON_RETRIES + 1,
+        "LunaPlanner.plan": MAX_PLAN_RETRIES + 1,
+        "ClusterCoordinator": MAX_SHARD_RETRIES + 1,
+        "on_error": 1,
+    }

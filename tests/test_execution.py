@@ -104,30 +104,22 @@ class TestExecutionSemantics:
 
 
 class TestRetries:
-    def test_transient_failure_retried(self):
-        failures = {"left": 2}
-
-        def flaky(x):
-            if x == 3 and failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("transient")
-            return x
-
-        executor = Executor(max_task_retries=3)
-        assert executor.take_all(Plan.from_items(range(5)).map(flaky)) == list(range(5))
-        assert executor.last_stats.node(
-            [n for n in executor.last_stats.nodes if n.startswith("map")][0]
-        ).retries == 2
+    """The executor retries nothing: a task runs once, and the default
+    ``fail`` policy turns its failure into a TaskError."""
 
     def test_permanent_failure_raises_task_error(self):
+        calls = []
+
         def always_fails(x):
+            calls.append(x)
             raise ValueError("nope")
 
-        executor = Executor(max_task_retries=1)
+        executor = Executor()
         with pytest.raises(TaskError) as excinfo:
             executor.take_all(Plan.from_items([1]).map(always_fails, name="boom"))
         assert excinfo.value.node_name == "boom"
         assert isinstance(excinfo.value.cause, ValueError)
+        assert calls == [1]
 
 
 class TestStats:

@@ -18,7 +18,6 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultyLLM,
-    InjectedFault,
 )
 from repro.llm import (
     CircuitBreaker,
@@ -182,22 +181,15 @@ class TestFaultInjector:
             assert llm.complete(f"p{i}").text == f"echo:p{i}"
         assert injector.injected.get("transient", 0) > 0
 
-    def test_wrap_fn_injects_task_faults(self):
-        injector = FaultInjector(FaultSchedule(seed=0, brownouts=((0, 2),)))
-        flaky = injector.wrap_fn(lambda x: x * 2)
-        with pytest.raises(InjectedFault):
-            flaky(1)
-        with pytest.raises(InjectedFault):
-            flaky(1)
-        assert flaky(3) == 6
-
     def test_report_mentions_counts(self):
         injector = FaultInjector(FaultSchedule(seed=0, brownouts=((0, 3),)))
-        flaky = injector.wrap_fn(lambda: None)
+        flaky = injector.wrap_llm(EchoBackend())
         for _ in range(3):
-            with pytest.raises(InjectedFault):
-                flaky()
+            with pytest.raises(TransientLLMError):
+                flaky.complete("p")
+        assert flaky.complete("p").text == "echo:p"
         assert "brownout=3" in injector.report()
+        assert "over 4 calls" in injector.report()
 
 
 # ----------------------------------------------------------------------
@@ -275,26 +267,8 @@ class TestCircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# ReliableLLM hardening: budget, timeout, LRU cache
+# ReliableLLM hardening: timeout, LRU cache
 # ----------------------------------------------------------------------
-
-
-class TestRetryBudget:
-    def test_budget_exhaustion_fails_fast(self):
-        backend = FailingBackend()
-        llm = ReliableLLM(
-            backend, max_retries=5, retry_budget=3, sleeper=lambda s: None
-        )
-        with pytest.raises(TransientLLMError, match="budget"):
-            llm.complete("a")
-        # 3 retries spent + the failing attempt that hit the empty budget.
-        assert backend.calls == 4
-        assert llm.retries_performed == 3
-        assert llm.metrics()["budget_exhaustions"] == 1
-        # Later requests cannot retry at all.
-        with pytest.raises(TransientLLMError, match="budget"):
-            llm.complete("b")
-        assert backend.calls == 5
 
 
 class TestRequestTimeout:
@@ -398,14 +372,13 @@ class TestExecutorPolicies:
             attempts.append(x)
             raise ValueError("nope")
 
-        executor = Executor(max_task_retries=3, on_error="fail")
+        executor = Executor(on_error="fail")
         with pytest.raises(TaskError):
             executor.take_all(Plan.from_items([1]).map(boom, name="m"))
-        assert len(attempts) == 1  # "fail" means no retries at all
-        assert executor.last_stats.node("m").retries == 0
+        assert len(attempts) == 1  # a task runs once
 
     def test_per_node_policy_overrides_executor_default(self):
-        executor = Executor(on_error="retry")
+        executor = Executor(on_error="fail")
         plan = (
             Plan.from_items(range(4))
             .map(_sometimes_boom({0}), name="tolerant", on_error="skip")
@@ -413,32 +386,14 @@ class TestExecutorPolicies:
         )
         assert executor.take_all(plan) == [11, 21, 31]
 
-    def test_per_node_retries_override(self):
-        counts = {"n": 0}
-
-        def flaky(x):
-            counts["n"] += 1
-            if counts["n"] < 3:
-                raise RuntimeError("transient")
-            return x
-
-        executor = Executor(max_task_retries=0)
-        plan = Plan.from_items([7]).map(flaky, name="m", retries=5)
-        assert executor.take_all(plan) == [7]
-        assert executor.last_stats.node("m").retries == 2
-
-    def test_retries_not_overcounted_on_terminal_failure(self):
-        executor = Executor(max_task_retries=2)  # 3 attempts
-        with pytest.raises(TaskError):
-            executor.take_all(
-                Plan.from_items([1]).map(_sometimes_boom({1}), name="m")
-            )
-        # 2 actual retries, the terminal failure is not a retry.
-        assert executor.last_stats.node("m").retries == 2
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Executor(on_error="explode")
+
+    def test_unknown_node_policy_rejected_when_the_node_is_built(self):
+        # "retry" was a policy once; a task now runs once, so it is unknown.
+        with pytest.raises(ValueError, match="retry"):
+            Plan.from_items([1]).map(lambda x: x, on_error="retry")
 
     def test_parallel_dead_letter_preserves_order(self):
         executor = Executor(parallelism=4, on_error="dead_letter")
@@ -465,9 +420,8 @@ def _chaos_context(n_docs: int = 8):
     """A context whose reliability layer never sleeps, over a real corpus."""
     backend = SimulatedLLM(seed=0)
     llm = ReliableLLM(backend, max_retries=1, sleeper=lambda s: None)
-    # max_task_retries=0 keeps the call arithmetic simple: one executor
-    # attempt per record, two backend calls inside ReliableLLM.
-    ctx = SycamoreContext(llm=llm, parallelism=1, seed=0, max_task_retries=0)
+    # One task run per record, two backend calls inside ReliableLLM.
+    ctx = SycamoreContext(llm=llm, parallelism=1, seed=0)
     backend.tracker = ctx.cost_tracker
     _, raws = generate_ntsb_corpus(n_docs, seed=5)
     (

@@ -13,7 +13,13 @@ from repro.datagen import generate_ntsb_corpus
 from repro.docmodel import Document, Element
 from repro.embedding import HashingEmbedder
 from repro.indexes import IndexCatalog, NamedIndex
-from repro.llm import CostTracker, ReliableLLM, SimulatedLLM, TransientLLMError
+from repro.llm import (
+    CostTracker,
+    MalformedOutputError,
+    ReliableLLM,
+    SimulatedLLM,
+    TransientLLMError,
+)
 from repro.luna import Luna
 from repro.partitioner import ArynPartitioner
 from repro.sycamore import SycamoreContext
@@ -69,20 +75,26 @@ class TestFailureInjection:
         broken = _flaky_context(malformed_rate=0.6, seed=2, parallelism=1)
 
         def states(ctx):
-            return [
-                d.properties.get("state")
+            return {
+                d.doc_id: d.properties.get("state")
                 for d in ctx.read.raw(raws[:6])
                 .partition(ArynPartitioner(seed=0))
-                .extract_properties({"state": "string"}, model="sim-oracle")
+                .extract_properties(
+                    {"state": "string"}, model="sim-oracle", on_error="dead_letter"
+                )
                 .take_all()
-            ]
+            }
 
-        # JSON repair + retry recovers: the noisy run still extracts most
-        # states, matching the clean run on the ones it recovers.
+        # JSON repair + complete_json's re-asks recover records, matching
+        # the clean run on every one they recover. A record still
+        # malformed after its 3 asks is dead-lettered, not retried again.
         clean_states = states(clean)
         broken_states = states(broken)
-        matches = sum(1 for a, b in zip(clean_states, broken_states) if a == b)
-        assert matches >= 4
+        letters = broken.last_stats.dead_letters
+        assert len(clean_states) == 6
+        assert broken_states and len(broken_states) + len(letters) == 6
+        assert all(clean_states[doc_id] == state for doc_id, state in broken_states.items())
+        assert all(isinstance(letter.cause, MalformedOutputError) for letter in letters)
 
     def test_luna_query_through_flaky_backend(self, ntsb_corpus):
         _, raws = ntsb_corpus

@@ -39,7 +39,6 @@ from repro.lifecycle import (
 )
 from repro.docmodel.document import Document
 from repro.llm import ReliableLLM, SimulatedLLM
-from repro.llm.errors import LLMTimeoutError, TransientLLMError
 from repro.luna import Luna
 from repro.luna.planner import LunaPlanner
 from repro.observability import MetricsRegistry
@@ -505,11 +504,14 @@ class TestServiceCancellation:
 
 
 # ----------------------------------------------------------------------
-# S1: ReliableLLM overall budget (no timeout compounding)
+# S1: the query deadline bounds a retry storm (no timeout compounding)
 # ----------------------------------------------------------------------
 
 
 class TestOverallTimeout:
+    """The client has no budget of its own: the ambient query deadline
+    stops new attempts and clamps every backoff sleep."""
+
     def test_overall_budget_caps_retry_storm(self):
         clock = [0.0]
         sleeps = []
@@ -518,26 +520,30 @@ class TestOverallTimeout:
             sleeps.append(seconds)
             clock[0] += seconds
 
+        backend = FlakyBackend(failures=100)
+        flaky_complete = backend.complete
+
         def flaky_with_time(*args, **kwargs):
             clock[0] += 3.0  # each backend attempt burns 3 "seconds"
-            raise TransientLLMError("boom")
+            return flaky_complete(*args, **kwargs)
 
-        backend = FlakyBackend(failures=100)
         backend.complete = flaky_with_time
         llm = ReliableLLM(
             backend,
             max_retries=10,
             backoff_base_s=2.0,
-            total_timeout_s=5.0,
             sleeper=fake_sleep,
             clock=lambda: clock[0],
         )
-        with pytest.raises(LLMTimeoutError, match="overall budget"):
+        scope = CancelScope(Deadline(5.0, clock=lambda: clock[0]))
+        with attach_scope(scope), pytest.raises(DeadlineExceeded):
             llm.complete("hi")
-        # One attempt (3s) + clamped backoff reach the 5s budget; without
-        # the overall cap this would have been 11 attempts * (3s + backoff).
+        # One attempt (3s) + a backoff clamped to the 2s left reach the 5s
+        # budget; without the deadline this would have been 11 attempts
+        # * (3s + backoff).
         assert clock[0] <= 5.0 + 0.01
-        assert llm.metrics()["overall_timeouts"] == 1
+        assert backend.attempts == 1
+        assert sleeps == [2.0]
 
     def test_backoff_clamped_to_remaining_budget(self):
         clock = [0.0]
@@ -551,13 +557,13 @@ class TestOverallTimeout:
             FlakyBackend(failures=1),
             max_retries=3,
             backoff_base_s=60.0,
-            total_timeout_s=2.0,
             sleeper=fake_sleep,
             clock=lambda: clock[0],
         )
-        with pytest.raises(LLMTimeoutError):
+        scope = CancelScope(Deadline(2.0, clock=lambda: clock[0]))
+        with attach_scope(scope), pytest.raises(DeadlineExceeded):
             llm.complete("hi")
-        assert all(s <= 2.0 for s in sleeps)
+        assert sleeps and all(s <= 2.0 for s in sleeps)
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,18 @@ class TestRetries:
         llm.complete("hi")
         assert sleeps == [1.0, 2.0, 4.0]
 
+    def test_terminal_failure_neither_sleeps_nor_counts(self):
+        # At the defaults an always-5xx backend is asked 5 times: 4 of
+        # those failures are followed by a retry, the fifth is terminal.
+        sleeps = []
+        backend = FlakyBackend(failures=100)
+        llm = ReliableLLM(backend, sleeper=sleeps.append)
+        with pytest.raises(TransientLLMError, match="giving up after 5 attempts"):
+            llm.complete("hi")
+        assert backend.attempts == 5
+        assert llm.metrics()["retries_performed"] == 4
+        assert sleeps == [0.05, 0.1, 0.2, 0.4]
+
 
 class TestCache:
     def test_cache_hit_marked_and_free(self):
