@@ -10,8 +10,6 @@ Layered like the paper's architecture (Figure 1):
 * :mod:`repro.llm`, :mod:`repro.embedding`, :mod:`repro.indexes`,
   :mod:`repro.execution` — the substrates (LLM runtime, embeddings,
   keyword/vector/graph stores, Ray-like dataflow execution).
-* :mod:`repro.runtime` — the shared LLM request scheduler
-  (micro-batching, in-flight dedup, priority admission control).
 * :mod:`repro.observability` — query tracing, the process metrics
   registry, and per-query cost accounting (see docs/ARCHITECTURE.md).
 * :mod:`repro.serving` — the concurrent query-serving layer: admission
@@ -62,7 +60,6 @@ from .observability import (
 )
 from .partitioner import ArynPartitioner, NaiveTextPartitioner
 from .rag import RagPipeline
-from .runtime import Priority, RequestScheduler
 from .serving import QueryService, ServiceConfig
 from .sycamore import DocSet, SycamoreContext
 
@@ -94,12 +91,10 @@ __all__ = [
     "LunaResult",
     "MetricsRegistry",
     "NaiveTextPartitioner",
-    "Priority",
     "QueryCancelled",
     "QueryJournal",
     "QueryService",
     "RagPipeline",
-    "RequestScheduler",
     "ServiceConfig",
     "ShardedKeywordIndex",
     "ShardedVectorIndex",

@@ -16,35 +16,29 @@ Commands
     (transient errors, rate limits, malformed output, an optional
     brownout window). Demonstrates failure containment: the run
     completes with a partial answer and a dead-letter report instead of
-    crashing. All traffic flows through the shared request scheduler, so
-    the report includes queue depth and dedup savings alongside the
-    dead-letter counts. ``--kill-at N`` switches to the crash-recovery
-    drill: a subprocess runs the query with a write-ahead journal and is
-    killed hard right after node ``N`` checkpoints; the parent then
-    resumes from the journal and verifies the resumed answer is
-    byte-identical to an uninterrupted reference run while re-executing
-    only the nodes past the last checkpoint. ``--workers N`` switches to
-    the worker-kill drill: the query runs on an ``N``-worker cluster
-    whose first shard is poisoned so its worker process dies mid-shard;
-    the coordinator detects the death, retries the shard on a live peer,
-    and the drill verifies the answer is byte-identical to a clean
-    cluster run.
+    crashing; the report lists the injected faults, the dead letters
+    and the LLM client's counters. ``--kill-at N`` switches to the
+    crash-recovery drill: a subprocess runs the query with a write-ahead
+    journal and is killed hard right after node ``N`` checkpoints; the
+    parent then resumes from the journal and verifies the resumed answer
+    is byte-identical to an uninterrupted reference run while
+    re-executing only the nodes past the last checkpoint. ``--workers N``
+    switches to the worker-kill drill: the query runs on an ``N``-worker
+    cluster whose first shard is poisoned so its worker process dies
+    mid-shard; the coordinator detects the death, retries the shard on a
+    live peer, and the drill verifies the answer is byte-identical to a
+    clean cluster run.
 ``cluster-stats``
     Run a query with a :class:`repro.cluster.ClusterCoordinator`
     attached to the context — so shardable LLM operators scatter across
     worker processes — and print the coordinator's shard/worker counters
     plus the ``cluster.*`` metrics registry.
-``runtime-stats``
-    Run the ETL build and a Luna query through the shared
-    :class:`repro.runtime.RequestScheduler` and print its statistics —
-    batch-size histogram, dedup hits, priority queue traffic, wait and
-    service times.
 ``trace``
     Run a Luna query and print its span tree: query -> plan ->
     operators -> transforms -> LLM requests, each request line carrying
-    its tokens, simulated dollars, cache/dedup provenance and scheduler
-    batch link — plus the per-operator cost account. ``--json`` writes
-    the same trace as a JSON document.
+    its tokens, simulated dollars and cache provenance — plus the
+    per-operator cost account. ``--json`` writes the same trace as a
+    JSON document.
 ``metrics``
     Run the ETL build and a Luna query, then print the process-wide
     metrics registry (``--prefix`` filters, e.g. ``--prefix llm.``).
@@ -85,7 +79,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from . import ArynPartitioner, Luna, RequestScheduler, SycamoreContext
+from . import ArynPartitioner, Luna, SycamoreContext
 from .datagen import generate_earnings_corpus, generate_ntsb_corpus
 from .faults import BrownoutWindow, FaultInjector, FaultSchedule
 from .observability import get_registry, render_trace_tree, write_trace_json
@@ -106,13 +100,9 @@ _EARNINGS_SCHEMA = {
 
 
 def _build_context(
-    dataset: str,
-    n_docs: int,
-    seed: int,
-    parallelism: int,
-    scheduler: Optional[RequestScheduler] = None,
+    dataset: str, n_docs: int, seed: int, parallelism: int
 ) -> SycamoreContext:
-    ctx = SycamoreContext(parallelism=parallelism, seed=seed, scheduler=scheduler)
+    ctx = SycamoreContext(parallelism=parallelism, seed=seed)
     if dataset == "ntsb":
         _, raws = generate_ntsb_corpus(n_docs, seed=seed)
         schema = _NTSB_SCHEMA
@@ -158,39 +148,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_scheduler_stats(scheduler: RequestScheduler) -> None:
-    m = scheduler.metrics()
-    histogram = m.pop("batch_size_histogram")
-    print("scheduler:")
-    print(
-        f"  admitted: {m['admitted']} (interactive+bulk)  "
-        f"rejected: {m['rejected']}  dedup hits: {m['dedup_hits']}  "
-        f"(upstream calls saved: {m['dedup_hits']})"
-    )
-    print(
-        f"  completed: {m['completed']}  failed: {m['failed']}  "
-        f"cancelled: {m['cancelled']}  "
-        f"queue depth now: interactive={m['queue_depth_interactive']} "
-        f"bulk={m['queue_depth_bulk']} (peak {m['peak_queue_depth']})"
-    )
-    print(
-        f"  batches: {m['batches_dispatched']} "
-        f"(avg size {m['avg_batch_size']})  "
-        f"avg wait: {m['avg_wait_ms']}ms  avg service: {m['avg_service_ms']}ms  "
-        f"starvation promotions: {m['starvation_promotions']}"
-    )
-    sizes = ", ".join(f"{size}x{count}" for size, count in histogram.items())
-    print(f"  batch-size histogram: {sizes or '(empty)'}")
-
-
-def _make_scheduler(args: argparse.Namespace) -> RequestScheduler:
-    return RequestScheduler(
-        max_batch_size=args.batch_size,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.queue_depth,
-    )
-
-
 def _print_registry(prefix: str = "") -> None:
     """Print the process metrics registry (the unified telemetry view)."""
     snapshot: Dict[str, Any] = get_registry().snapshot(prefix)
@@ -217,10 +174,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.workers is not None:
         return _chaos_worker_kill_drill(args)
     print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
+    ctx = _build_context(args.dataset, args.docs, args.seed, args.parallelism)
 
     brownouts = [args.brownout] if args.brownout else []
     try:
@@ -233,13 +187,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         print(f"repro chaos: error: {exc}", file=sys.stderr)
-        scheduler.close()
         return 2
     injector = FaultInjector(schedule)
     # Inject between the reliability layer and the backend: the ETL build
-    # above ran clean; only query-time traffic sees the weather. The
-    # scheduler sits *above* the reliability layer, so queued requests
-    # ride out the storm behind retries and the circuit breaker.
+    # above ran clean; only query-time traffic sees the weather, behind
+    # the client's retries and circuit breaker.
     ctx.llm.backend = injector.wrap_llm(ctx.llm.backend)
 
     luna = Luna(ctx, policy=args.policy, error_policy="dead_letter")
@@ -257,15 +209,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for line in result.trace.errors:
         print(f"  - {line}")
     print(f"llm metrics: {ctx.llm.metrics()}")
-    _print_scheduler_stats(scheduler)
-    print("\nmetrics registry (llm/scheduler/faults):")
-    for prefix in ("llm.", "scheduler.", "faults."):
+    print("\nmetrics registry (llm/faults):")
+    for prefix in ("llm.", "faults."):
         _print_registry(prefix)
     if args.trace_json:
         spans = ctx.tracer.trace_spans(result.trace.trace_id)
         path = write_trace_json(args.trace_json, spans, result.trace.cost)
         print(f"\ntrace JSON written to {path}")
-    scheduler.close()
     return 0
 
 
@@ -295,10 +245,7 @@ def _chaos_kill_child(args: argparse.Namespace) -> int:
     from .lifecycle import QueryJournal
 
     kill_after = args.kill_child
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
+    ctx = _build_context(args.dataset, args.docs, args.seed, args.parallelism)
     journal = QueryJournal(args.journal_dir)
     original = journal.node_complete
 
@@ -317,7 +264,6 @@ def _chaos_kill_child(args: argparse.Namespace) -> int:
     luna = Luna(ctx, policy=args.policy, error_policy="dead_letter", journal=journal)
     luna.query(args.question, index=args.dataset, query_id=args.query_id)
     print("[child] query completed without reaching the kill point", flush=True)
-    scheduler.close()
     return 3
 
 
@@ -334,10 +280,7 @@ def _chaos_recovery_drill(args: argparse.Namespace) -> int:
         f"journal at {args.journal_dir}/"
     )
     print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
+    ctx = _build_context(args.dataset, args.docs, args.seed, args.parallelism)
     luna = Luna(ctx, policy=args.policy, error_policy="dead_letter")
     reference = luna.query(args.question, index=args.dataset)
     ref_bytes = _canonical_answer(reference)
@@ -381,7 +324,6 @@ def _chaos_recovery_drill(args: argparse.Namespace) -> int:
         )
         if proc.stderr:
             print(proc.stderr, file=sys.stderr)
-        scheduler.close()
         return 1
 
     journal = QueryJournal(args.journal_dir)
@@ -406,7 +348,6 @@ def _chaos_recovery_drill(args: argparse.Namespace) -> int:
         spans = ctx.tracer.trace_spans(resumed.trace.trace_id)
         path = write_trace_json(args.trace_json, spans, resumed.trace.cost)
         print(f"resume trace JSON written to {path}")
-    scheduler.close()
     return 0 if identical else 1
 
 
@@ -511,42 +452,9 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_runtime_stats(args: argparse.Namespace) -> int:
-    print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
-    after_etl = scheduler.metrics()
-    luna = Luna(ctx, policy=args.policy)
-    result = luna.query(args.question, index=args.dataset)
-    print(f"\nanswer: {result.answer}")
-    print(
-        f"\nETL (BULK) traffic: {after_etl['admitted']} requests in "
-        f"{after_etl['batches_dispatched']} batches "
-        f"(avg size {after_etl['avg_batch_size']})"
-    )
-    query_admitted = scheduler.metrics()["admitted"] - after_etl["admitted"]
-    print(f"query (INTERACTIVE) traffic: {query_admitted} requests")
-    versions = ", ".join(
-        f"{name}@{version}" for name, version in sorted(ctx.catalog.versions().items())
-    )
-    print(
-        f"catalog version: {ctx.catalog.version()} ({versions or 'no indexes'})"
-    )
-    _print_scheduler_stats(scheduler)
-    print("\nmetrics registry (full):")
-    _print_registry()
-    scheduler.close()
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
+    ctx = _build_context(args.dataset, args.docs, args.seed, args.parallelism)
     luna = Luna(ctx, policy=args.policy)
     result = luna.query(args.question, index=args.dataset)
     spans = ctx.tracer.trace_spans(result.trace.trace_id)
@@ -558,23 +466,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.json:
         path = write_trace_json(args.json, spans, result.trace.cost)
         print(f"\ntrace JSON written to {path}")
-    scheduler.close()
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     print(f"building {args.docs}-document {args.dataset} corpus (seed {args.seed})...")
-    scheduler = _make_scheduler(args)
-    ctx = _build_context(
-        args.dataset, args.docs, args.seed, args.parallelism, scheduler=scheduler
-    )
+    ctx = _build_context(args.dataset, args.docs, args.seed, args.parallelism)
     luna = Luna(ctx, policy=args.policy)
     result = luna.query(args.question, index=args.dataset)
     print(f"\nanswer: {result.answer}")
     prefix = args.prefix
     print(f"\nmetrics registry{f' (prefix {prefix!r})' if prefix else ''}:")
     _print_registry(prefix)
-    scheduler.close()
     return 0
 
 
@@ -812,28 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.set_defaults(handler=_cmd_query)
 
-    def scheduler_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch-size", type=int, default=8, help="scheduler max batch size"
-        )
-        p.add_argument(
-            "--max-wait-ms",
-            type=float,
-            default=2.0,
-            help="micro-batch window in milliseconds",
-        )
-        p.add_argument(
-            "--queue-depth",
-            type=int,
-            default=1024,
-            help="per-priority admission bound",
-        )
-
     chaos = sub.add_parser(
         "chaos", help="run a query under seeded fault injection"
     )
     common(chaos)
-    scheduler_opts(chaos)
     chaos.add_argument(
         "question",
         nargs="?",
@@ -889,29 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(handler=_cmd_chaos)
 
-    runtime_stats = sub.add_parser(
-        "runtime-stats",
-        help="run ETL + a query through the request scheduler and report stats",
-    )
-    common(runtime_stats)
-    scheduler_opts(runtime_stats)
-    runtime_stats.add_argument(
-        "question",
-        nargs="?",
-        default="How many incidents were caused by wind?",
-        help="the natural-language question",
-    )
-    runtime_stats.add_argument(
-        "--dataset", choices=("ntsb", "earnings"), default="ntsb"
-    )
-    runtime_stats.set_defaults(handler=_cmd_runtime_stats)
-
     trace = sub.add_parser(
         "trace",
         help="run a query and print its span tree with per-operator costs",
     )
     common(trace)
-    scheduler_opts(trace)
     trace.add_argument(
         "question",
         nargs="?",
@@ -935,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run ETL + a query and print the process metrics registry",
     )
     common(metrics)
-    scheduler_opts(metrics)
     metrics.add_argument(
         "question",
         nargs="?",

@@ -6,9 +6,7 @@ parent, so completions are placement-independent), its own
 :class:`~repro.llm.client.ReliableLLM` reliability layer and executor.
 Nothing is shared with the coordinator but the task/result queues; this
 is the paper's shared-nothing Ray-worker shape scaled down to
-``multiprocessing``. A worker runs its shard on one thread, so it has no
-request scheduler: with one caller there is nothing to batch or dedup,
-and a scheduler would only hold each call for its batch window. Shard
+``multiprocessing``. A worker runs its shard on one thread, and shard
 LLM calls go straight to the worker's ``ReliableLLM``.
 
 Byte-identity with local execution is structural, not tested-in:
@@ -42,7 +40,6 @@ from ..lifecycle.deadline import (
 from ..llm.cost import CostTracker
 from ..llm.simulated import SimulatedLLM
 from ..luna.lowering import Scope, lower
-from ..runtime import Priority
 from ..sycamore.context import SycamoreContext
 from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 
@@ -67,7 +64,7 @@ def run_spec_locally(
     uses, so a shard runs them fused, record by record, under the spec's
     ``error_policy``.
     """
-    scope = Scope(context, llm_options={"priority": Priority.BULK})
+    scope = Scope(context)
     docset = context.read.documents(documents)
     for shard_op in spec.ops:
         params = shard_op.param_dict()

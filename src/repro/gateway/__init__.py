@@ -5,7 +5,7 @@ to a real server: a stdlib ``ThreadingHTTPServer`` behind a composable
 middleware stack (request ids, bearer auth, per-tenant token-bucket rate
 limiting, structured access logs), query routes with chunked/SSE
 progress streaming, and an ``/ops`` surface exposing metrics, traces,
-per-tenant cost ledgers, and scheduler/cluster/optimizer stats. See
+per-tenant cost ledgers, and service and gateway stats. See
 :mod:`repro.gateway.server` for the route table and docs/GATEWAY.md for
 the wire contract.
 """

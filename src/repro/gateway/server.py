@@ -19,7 +19,7 @@ whole surface over HTTP:
 ``GET /ops/traces/<id>``    a served query's trace JSON (by query id
                             *or* request id)
 ``GET /ops/costs``          per-tenant cost ledgers
-``GET /ops/stats``          service + gateway + scheduler counters
+``GET /ops/stats``          service + gateway counters
 ``GET /ops/accesslog``      recent structured access-log records
 ========================== ==========================================
 
@@ -796,14 +796,9 @@ class Gateway:
         return Response(payload={"tenants": ledgers})
 
     def _route_stats(self, ctx: RequestContext) -> Response:
-        payload: Dict[str, Any] = {
-            "service": self.service.stats(),
-            "gateway": self.stats(),
-        }
-        scheduler = getattr(self.service.context, "scheduler", None)
-        if scheduler is not None:
-            payload["scheduler"] = scheduler.metrics()
-        return Response(payload=payload)
+        return Response(
+            payload={"service": self.service.stats(), "gateway": self.stats()}
+        )
 
 
 # ----------------------------------------------------------------------

@@ -253,8 +253,8 @@ def wait_future(
     """Scope-aware ``future.result()``.
 
     Waits in short slices, re-checking the ambient scope between slices —
-    so a caller blocked on *shared* work (a deduped scheduler future, a
-    single-flight leader) observes its *own* cancellation or deadline
+    so a caller blocked on *shared* work (a single-flight leader's
+    future) observes its *own* cancellation or deadline
     instead of riding the shared call to completion. ``timeout`` bounds
     the total wait (on top of the scope's own deadline); when it elapses
     first, :class:`concurrent.futures.TimeoutError` is raised, matching

@@ -474,8 +474,7 @@ class ReliableLLM(LLMClient):
 
         Re-asks bypass the response cache (a cached malformed answer would
         never heal) and nudge the temperature so a stochastic backend can
-        produce different output. :class:`~repro.runtime.ScheduledLLM`
-        runs this same loop through the scheduler.
+        produce different output.
         """
         last_error: Optional[MalformedOutputError] = None
         for attempt in range(JSON_RETRIES + 1):

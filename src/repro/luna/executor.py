@@ -23,7 +23,6 @@ from ..execution.plan import check_on_error
 from ..lifecycle.deadline import QueryCancelled, check_scope
 from ..observability.cost import CostAccount
 from ..optimizer.report import OptimizerReport
-from ..runtime import Priority
 from ..sycamore.context import SycamoreContext
 from ..sycamore.docset import DocSet
 from . import mathops
@@ -243,7 +242,6 @@ class LunaExecutor:
         scope = Scope(
             self.context,
             math_operation=lambda expr: mathops.math_operation(expr, results),
-            llm_options={"priority": Priority.INTERACTIVE},
         )
         trace = ExecutionTrace()
         # Run standalone, every op span roots a trace of its own.

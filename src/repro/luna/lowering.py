@@ -21,7 +21,7 @@ them over a shard; the rest are collection functions over a whole input
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from .mathops import braced
@@ -35,11 +35,6 @@ class Scope:
 
     context: Any
     math_operation: Optional[Callable[..., float]] = None
-    #: Keyword arguments for every LLM-calling DocSet method: the
-    #: runner's ``priority`` class (INTERACTIVE for a Luna query, BULK on
-    #: a worker). A generated script names none; whoever runs it runs at
-    #: the DocSet default.
-    llm_options: Dict[str, Any] = field(default_factory=dict)
 
 
 def _optional(params: Dict[str, Any], *names: str) -> Dict[str, Any]:
@@ -75,12 +70,11 @@ LOWERING: Dict[str, Callable[..., Any]] = {
         p["field"], p["op"], p["value"]
     ),
     "LlmFilter": lambda scope, p, docs: docs.llm_filter(
-        p["condition"], **_optional(p, "model", "cascade"), **scope.llm_options
+        p["condition"], **_optional(p, "model", "cascade")
     ),
     "LlmExtract": lambda scope, p, docs: docs.extract_properties(
         {p["field"]: p.get("type", "string")},
         **_optional(p, "model", "cascade"),
-        **scope.llm_options,
     ),
     "Count": lambda scope, p, docs: docs.count(),
     "Aggregate": lambda scope, p, docs: docs.aggregate(
@@ -102,7 +96,7 @@ LOWERING: Dict[str, Callable[..., Any]] = {
         expr=braced(str(p["expression"]))
     ),
     "Summarize": lambda scope, p, docs: docs.summarize_all(
-        **_optional(p, "model", "question"), **scope.llm_options
+        **_optional(p, "model", "question")
     ),
     "Identity": lambda scope, p, value: value,
 }

@@ -110,12 +110,7 @@ class Luna:
         # ``query_id`` checkpoint per-node outputs durably, and
         # :meth:`resume` can pick a crashed query back up.
         self.journal = journal
-        # Planning is the most latency-sensitive traffic in the system (a
-        # user is staring at the prompt): submit it at INTERACTIVE
-        # priority when the context routes through a scheduler.
-        self.planner = LunaPlanner(
-            context.llm_for("interactive"), model=planner_model
-        )
+        self.planner = LunaPlanner(context.llm, model=planner_model)
         # Optional adaptive-statistics loop (repro.optimizer): a live
         # StatsStore both informs the cost-based rewrites and accumulates
         # each execution's observed selectivity/$-per-row figures. The

@@ -17,8 +17,8 @@ versions of every index read, so ingest invalidates it); on a miss the
 **plan cache** (keyed on the question and the index *schema*
 fingerprint, so ingest does *not* invalidate it) supplies or computes
 the logical plan, and the query executes through the ordinary Luna
-stack — planner and operators at INTERACTIVE priority on the shared
-request scheduler. Both caches are single-flight: N identical
+stack — planner and operators call the shared context's one LLM
+client. Both caches are single-flight: N identical
 concurrent queries plan once and execute once, with the other N-1
 coalescing onto the leader's future. Cache hits are credited to the
 tenant's account as ``saved_usd`` (the conservative-accounting
@@ -323,8 +323,8 @@ class QueryService:
 
     Thread-safety: ``submit`` may be called from any thread; each worker
     thread owns a private :class:`Luna` facade (the planner/executor pair
-    keeps per-query scratch state) while the context, catalog, scheduler,
-    caches and tracer are shared.
+    keeps per-query scratch state) while the context, catalog, LLM
+    client, caches and tracer are shared.
     """
 
     def __init__(

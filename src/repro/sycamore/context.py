@@ -26,7 +26,6 @@ from ..llm.cost import CostTracker
 from ..llm.simulated import SimulatedLLM
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Tracer
-from ..runtime import Priority, RequestScheduler, ScheduledLLM
 
 if TYPE_CHECKING:
     from .docset import DocSet
@@ -38,21 +37,20 @@ class SycamoreContext:
     Parameters default to a fully self-contained stack: a simulated LLM
     wrapped in the reliability layer, a hashing embedder, a fresh index
     catalog, and single-threaded execution. ``default_model`` is what
-    LLM-powered transforms use when not told otherwise.
-
-    ``scheduler`` optionally routes every LLM-powered transform through a
-    shared :class:`repro.runtime.RequestScheduler` (micro-batching,
-    in-flight dedup, priority admission). A scheduler constructed without
-    a client is bound to this context's reliability-wrapped LLM, so the
-    dispatch path keeps retries, the circuit breaker and the cache.
+    LLM-powered transforms use when not told otherwise. Every call site
+    uses the one reliability-wrapped client, ``context.llm``.
 
     Each context owns a :class:`~repro.observability.Tracer` (``tracer``
     injects one) so query traces from concurrent contexts stay separate;
     metrics go to the shared process :class:`MetricsRegistry` unless
     ``registry`` overrides it. The tracer is threaded into the LLM
-    reliability layer, the scheduler (when the context binds it) and
-    every executor the context creates.
+    reliability layer and every executor the context creates.
     """
+
+    #: Always None. Kept only because the perf harness reads
+    #: ``local.scheduler`` on a worker context
+    #: (``benchmarks/perf/workloads.py:673`` and ``layers.py:383``).
+    scheduler = None
 
     def __init__(
         self,
@@ -62,7 +60,6 @@ class SycamoreContext:
         default_model: str = "sim-large",
         seed: int = 0,
         on_error: str = "fail",
-        scheduler: Optional[RequestScheduler] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -81,12 +78,6 @@ class SycamoreContext:
             if llm.tracer is None:
                 llm.tracer = self.tracer
         self.llm: ReliableLLM = llm
-        self.scheduler = scheduler
-        if scheduler is not None and scheduler.client is None:
-            scheduler.client = self.llm
-            if scheduler.tracer is None:
-                scheduler.tracer = self.tracer
-        self._scheduled_clients: dict = {}
         self.embedder: Embedder = embedder or HashingEmbedder(seed=seed)
         self.catalog = IndexCatalog(embedder=self.embedder)
         self.lineage = Lineage()
@@ -96,8 +87,8 @@ class SycamoreContext:
         #: Optional :class:`repro.cluster.ClusterCoordinator`. When set,
         #: engines may scatter large per-record LLM operators across
         #: worker processes (Luna routes LlmFilter/LlmExtract through it
-        #: past ``min_cluster_docs``). Injected like the scheduler: the
-        #: creator owns its lifecycle, ``close()`` leaves it running.
+        #: past ``min_cluster_docs``). Injected: the creator owns its
+        #: lifecycle, ``close()`` leaves it running.
         self.cluster = None
         #: ExecutionStats of the most recent DocSet terminal run through
         #: this context (dead letters, skips — see repro.execution).
@@ -109,9 +100,9 @@ class SycamoreContext:
 
         The reliability-wrapped LLM lazily builds a batch thread pool
         (``complete_many``); a context that is dropped without closing
-        it leaks those non-daemon workers. The scheduler and cluster,
-        when present, are *not* closed here: they are injected, so their
-        creators own their lifecycles.
+        it leaks those non-daemon workers. The cluster, when present, is
+        *not* closed here: it is injected, so its creator owns its
+        lifecycle.
         """
         self.llm.close()
 
@@ -120,23 +111,6 @@ class SycamoreContext:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def llm_for(self, priority: "Priority | str" = Priority.BULK) -> LLMClient:
-        """The client call sites should use for the given priority class.
-
-        With a scheduler configured this is a :class:`ScheduledLLM` bound
-        to that priority; without one it falls back to the direct
-        reliability-wrapped client.
-        """
-        if self.scheduler is None:
-            return self.llm
-        if isinstance(priority, str):
-            priority = Priority[priority.upper()]
-        client = self._scheduled_clients.get(priority)
-        if client is None:
-            client = ScheduledLLM(self.scheduler, priority)
-            self._scheduled_clients[priority] = client
-        return client
 
     def executor(self, on_error: Optional[str] = None) -> Executor:
         """A fresh executor honouring this context's configuration.

@@ -31,7 +31,6 @@ from ..execution.executor import ExecutionStats
 from ..execution.materialize import DiskCache, MemoryCache
 from ..execution.plan import Plan
 from ..llm.prompts import PromptTemplate
-from ..runtime import Priority
 from . import aggregates, llm_transforms
 from .context import SycamoreContext
 
@@ -270,7 +269,6 @@ class DocSet:
         num_elements: Optional[int] = None,
         on_error: Optional[str] = None,
         cascade: Optional[Dict[str, Any]] = None,
-        priority: "Priority | str" = Priority.BULK,
     ) -> "DocSet":
         """Extract schema fields from each document into properties (Fig. 3).
 
@@ -280,7 +278,7 @@ class DocSet:
         """
         if cascade is None:
             fn = llm_transforms.make_extract_properties_fn(
-                self.context, schema, model, num_elements, priority
+                self.context, schema, model, num_elements
             )
         else:
             fn = llm_transforms.make_cascade_extract_fn(
@@ -288,7 +286,6 @@ class DocSet:
                 schema,
                 verify_model=model or self.context.default_model,
                 num_elements=num_elements,
-                priority=priority,
                 **_given(cascade, "draft_model", "confidence_threshold"),
             )
         return self.map(fn, name="extract_properties", on_error=on_error)
@@ -300,7 +297,6 @@ class DocSet:
         num_elements: Optional[int] = None,
         on_error: Optional[str] = None,
         cascade: Optional[Dict[str, Any]] = None,
-        priority: "Priority | str" = Priority.BULK,
     ) -> "DocSet":
         """Keep documents satisfying a natural-language condition.
 
@@ -311,7 +307,7 @@ class DocSet:
         """
         if cascade is None:
             fn = llm_transforms.make_llm_filter_fn(
-                self.context, condition, model, num_elements, priority
+                self.context, condition, model, num_elements
             )
         else:
             fn = llm_transforms.make_cascade_filter_fn(
@@ -319,7 +315,6 @@ class DocSet:
                 condition,
                 verify_model=model or self.context.default_model,
                 num_elements=num_elements,
-                priority=priority,
                 **_given(cascade, "draft_model", "draft_votes", "confidence_threshold"),
             )
         return self.filter(fn, name="llm_filter", on_error=on_error)
@@ -446,11 +441,10 @@ class DocSet:
         self,
         model: Optional[str] = None,
         question: Optional[str] = None,
-        priority: "Priority | str" = Priority.BULK,
     ) -> str:
         """Collection-level synthesis (terminal)."""
         return llm_transforms.summarize_collection(
-            self.context, self.take_all(), model=model, question=question, priority=priority
+            self.context, self.take_all(), model=model, question=question
         )
 
     def explain(self) -> str:

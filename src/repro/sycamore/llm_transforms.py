@@ -8,10 +8,7 @@ extract_properties and summarize that leverage built-in prompts."
 
 Each factory returns a per-document callable suitable for a plan ``map``
 or ``filter`` node; prompt assembly, JSON parsing and retries all go
-through the reliability layer, and — when the context carries a
-:class:`repro.runtime.RequestScheduler` — every call is admitted through
-the shared scheduler at the factory's priority class (BULK for ETL by
-default; Luna's query operators pass INTERACTIVE).
+through the context's one reliability-wrapped client, ``context.llm``.
 
 The static part of each prompt (instructions, schema, condition, ...) is
 identical for every document, so a factory renders it once and appends
@@ -34,7 +31,6 @@ from ..llm.prompts import (
     neutralize_markers,
     render_task_prompt,
 )
-from ..runtime import Priority
 from .context import SycamoreContext
 
 
@@ -67,12 +63,11 @@ def make_extract_properties_fn(
     schema: Dict[str, str],
     model: Optional[str] = None,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """Per-document property extraction against a JSON schema (Fig. 3/4)."""
     schema_json = json.dumps(schema, sort_keys=True)
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(EXTRACT_PROPERTIES, schema=schema_json)
 
     def extract(document: Document) -> Document:
@@ -96,7 +91,6 @@ def make_llm_query_fn(
     model: Optional[str] = None,
     num_elements: Optional[int] = None,
     parse_json: bool = False,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """The generic ``llm_query`` transform.
 
@@ -107,7 +101,7 @@ def make_llm_query_fn(
     properties of the document".
     """
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     if isinstance(prompt, PromptTemplate):
         missing = [name for name in prompt.required_fields if name != "document"]
         if missing:
@@ -151,11 +145,10 @@ def make_llm_filter_fn(
     condition: str,
     model: Optional[str] = None,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], bool]:
     """Semantic filter: keep documents satisfying a natural-language condition."""
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(FILTER_DOCUMENT, condition=condition)
 
     def predicate(document: Document) -> bool:
@@ -176,7 +169,6 @@ def make_cascade_filter_fn(
     draft_votes: int = 2,
     confidence_threshold: float = 0.75,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], bool]:
     """Draft/verify semantic filter (the optimizer's predicate cascade).
 
@@ -189,7 +181,7 @@ def make_cascade_filter_fn(
     row escalates (the cascade degenerates to the plain filter plus draft
     overhead). Semantics and cost math: ``docs/OPTIMIZER.md``.
     """
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(FILTER_DOCUMENT, condition=condition)
     votes = max(1, int(draft_votes))
     m_drafts = context.registry.counter("optimizer.cascade_drafts")
@@ -231,7 +223,6 @@ def make_cascade_extract_fn(
     draft_model: str = "sim-small",
     confidence_threshold: float = 0.75,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """Draft/verify property extraction (the optimizer's cascade).
 
@@ -242,7 +233,7 @@ def make_cascade_extract_fn(
     with the plain prompt. Threshold 0 never escalates; above 1 always.
     """
     schema_json = json.dumps(schema, sort_keys=True)
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(EXTRACT_PROPERTIES, schema=schema_json)
     m_drafts = context.registry.counter("optimizer.cascade_drafts")
     m_escalations = context.registry.counter("optimizer.cascade_escalations")
@@ -275,11 +266,10 @@ def make_summarize_fn(
     model: Optional[str] = None,
     max_sentences: int = 3,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """Per-document summarization into a property."""
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(SUMMARIZE_DOCUMENT, max_sentences=str(max_sentences))
 
     def summarize(document: Document) -> Document:
@@ -301,11 +291,10 @@ def make_classify_fn(
     output_property: str,
     model: Optional[str] = None,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """Classify each document into one of ``categories``."""
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     category_list = ", ".join(categories)
     prefix = _template_prefix(CLASSIFY_TEXT, categories=category_list)
 
@@ -326,7 +315,6 @@ def make_extract_entities_fn(
     output_property: str = "entities",
     model: Optional[str] = None,
     num_elements: Optional[int] = None,
-    priority: "Priority | str" = Priority.BULK,
 ) -> Callable[[Document], Document]:
     """Extract (subject, predicate, object) triples into a property.
 
@@ -337,7 +325,7 @@ def make_extract_entities_fn(
     from ..llm.prompts import EXTRACT_ENTITIES
 
     model_name = model or context.default_model
-    llm = context.llm_for(priority)
+    llm = context.llm
     prefix = _template_prefix(EXTRACT_ENTITIES)
 
     def extract(document: Document) -> Document:
@@ -385,7 +373,6 @@ def summarize_collection(
     question: Optional[str] = None,
     per_doc_sentences: int = 1,
     max_docs: int = 50,
-    priority: "Priority | str" = Priority.BULK,
 ) -> str:
     """Collection-level synthesis used by terminal summarize and Luna.
 
@@ -407,7 +394,7 @@ def summarize_collection(
     if question:
         sections["question"] = question
     prompt = render_task_prompt("summarize_collection", sections)
-    return context.llm_for(priority).complete(prompt, model=model_name).text
+    return context.llm.complete(prompt, model=model_name).text
 
 
 def _fill_placeholders(template: str, properties: Dict[str, Any]) -> str:

@@ -17,9 +17,32 @@ import pytest
 from repro.analysis import leakcheck
 from repro.datagen import generate_earnings_corpus, generate_ntsb_corpus
 from repro.docmodel import BoundingBox, Document, Element, Node, Table, TableCell
-from repro.llm import CostTracker, ReliableLLM, SimulatedLLM
+from repro.llm import (
+    CostTracker,
+    LLMResponse,
+    ReliableLLM,
+    SimulatedLLM,
+    TransientLLMError,
+    Usage,
+)
+from repro.llm.base import LLMClient
 from repro.partitioner import ArynPartitioner
 from repro.sycamore import SycamoreContext
+
+
+class RecordingBackend(LLMClient):
+    """Echoes each prompt and records it; prompts containing
+    ``fail_substring`` raise :class:`TransientLLMError`."""
+
+    def __init__(self, fail_substring=None):
+        self.fail_substring = fail_substring
+        self.calls = []
+
+    def complete(self, prompt, model="sim-large", max_output_tokens=None, temperature=0.0):
+        self.calls.append(prompt)
+        if self.fail_substring is not None and self.fail_substring in prompt:
+            raise TransientLLMError(f"induced failure for {prompt!r}")
+        return LLMResponse(text=f"echo:{prompt}", model=model, usage=Usage(1, 1, 1))
 
 
 @pytest.fixture(autouse=True)

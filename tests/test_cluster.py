@@ -60,6 +60,7 @@ from repro.indexes.keyword import KeywordIndex
 from repro.indexes.sharded import ShardedKeywordIndex, ShardedVectorIndex
 from repro.indexes.vector import VectorIndex
 from repro.lifecycle import CancelScope, Deadline, DeadlineExceeded, QueryJournal
+from repro.llm import ReliableLLM, SimulatedLLM
 from repro.luna import Luna
 from repro.luna.executor import LunaExecutor
 from repro.luna.operators import LogicalPlan
@@ -386,12 +387,12 @@ class TestShardedIndexes:
 class TestClusterExecution:
     def test_worker_stack_calls_its_llm_directly(self):
         """A worker runs its shard on one thread: no scheduler batches or
-        dedups its calls, every priority gets the reliability layer."""
+        dedups its calls, they go to the worker's reliability layer."""
         context = build_worker_context(ClusterConfig().worker_config())
         try:
             assert context.scheduler is None
-            assert context.llm_for("bulk") is context.llm
-            assert context.llm_for("interactive") is context.llm
+            assert isinstance(context.llm, ReliableLLM)
+            assert isinstance(context.llm.backend, SimulatedLLM)
         finally:
             context.close()
 

@@ -4,9 +4,10 @@ import pytest
 
 from repro.docmodel import Document, Element
 from repro.indexes import DocStore, GraphStore
+from repro.llm import ReliableLLM
 from repro.partitioner import ArynPartitioner, NaiveTextPartitioner
 from repro.sycamore import SycamoreContext
-from tests.conftest import without_generated_ids
+from tests.conftest import RecordingBackend, without_generated_ids
 
 
 def docs_with(values):
@@ -294,6 +295,44 @@ class TestLLMTransforms:
         doc = Document.from_text("windy day near the runway")
         ctx.read.documents([doc]).llm_filter("wind", model="sim-large").count()
         assert ctx.cost_tracker.summary().calls >= 1
+
+
+class TestPromptPrefixCache:
+    def test_prefix_built_prompt_matches_full_render(self):
+        from repro.llm.prompts import EXTRACT_PROPERTIES, append_section, render_task_prompt
+
+        prefix = render_task_prompt(
+            "extract_properties",
+            {"instructions": EXTRACT_PROPERTIES.instructions, "schema": "{}"},
+        )
+        assert append_section(prefix, "document", "text\n") == EXTRACT_PROPERTIES.render(
+            schema="{}", document="text\n"
+        )
+
+    def test_factory_prompts_match_full_render(self):
+        from repro.llm.prompts import FILTER_DOCUMENT, render_task_prompt
+        from repro.sycamore.llm_transforms import make_llm_filter_fn, make_llm_query_fn
+
+        backend = RecordingBackend()
+        ctx = SycamoreContext(llm=ReliableLLM(backend, cache_enabled=False), parallelism=1)
+        doc = Document.from_text("gusty crosswind on short final")
+        text = doc.text_representation()
+        make_llm_filter_fn(ctx, condition="mentions wind")(doc)
+        make_llm_query_fn(ctx, "Name the hazard", "hazard")(doc)
+        assert backend.calls == [
+            FILTER_DOCUMENT.render(condition="mentions wind", document=text),
+            render_task_prompt(
+                "llm_query", {"instructions": "Name the hazard", "document": text}
+            ),
+        ]
+
+    def test_transform_output_unchanged_by_hoisting(self, context, ntsb_corpus):
+        from repro.sycamore.llm_transforms import make_summarize_fn
+
+        _, raws = ntsb_corpus
+        doc = ArynPartitioner(seed=0).partition(raws[0])
+        summarize = make_summarize_fn(context, model="sim-oracle")
+        assert summarize(doc).properties["summary"]
 
 
 class TestMaterializeAndIO:

@@ -538,3 +538,29 @@ class TestLunaChaos:
         assert not result.partial
         assert result.trace.total_dead_lettered() == 0
         assert "partial" not in result.explain().lower()
+
+
+class TestChaosCommand:
+    def test_chaos_command_reports_dead_letters(self, capsys):
+        from repro.cli import main
+
+        assert (
+            main(
+                [
+                    "chaos",
+                    "--docs",
+                    "6",
+                    "--parallelism",
+                    "2",
+                    "--fault-seed",
+                    "42",
+                    "--transient-rate",
+                    "0.2",
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "dead-lettered" in out
+        assert "partial:" in out
+        assert "scheduler:" not in out

@@ -15,6 +15,7 @@ from repro.llm import (
 )
 from repro.llm.base import LLMClient
 from repro.llm.errors import RateLimitError
+from tests.conftest import RecordingBackend
 
 
 class FlakyBackend(LLMClient):
@@ -199,3 +200,42 @@ class TestCompleteJson:
         )
         result = llm.complete_json(prompt, model="sim-oracle")
         assert isinstance(result, dict)  # repair or retry succeeded
+
+
+class TestCompleteManyFix:
+    def test_shared_pool_is_reused_across_calls(self):
+        llm = ReliableLLM(SimulatedLLM(seed=0), cache_enabled=False)
+        prompts = [f"<<TASK:echo>>\n<<SECTION:text>>\np{i}" for i in range(4)]
+        llm.complete_many(prompts, parallelism=4)
+        pool_first = llm._pool
+        llm.complete_many(prompts, parallelism=4)
+        assert llm._pool is pool_first is not None
+        llm.close()
+        assert llm._pool is None
+
+    def test_intra_batch_duplicates_collapse_preserving_order(self):
+        backend = RecordingBackend()
+        llm = ReliableLLM(backend, cache_enabled=False)
+        results = llm.complete_many(["a", "b", "a", "a", "b"], parallelism=4)
+        assert [r.text for r in results] == [
+            "echo:a", "echo:b", "echo:a", "echo:a", "echo:b"
+        ]
+        assert sorted(backend.calls) == ["a", "b"]
+        llm.close()
+
+    def test_return_exceptions_isolates_failures(self):
+        backend = RecordingBackend(fail_substring="bad")
+        llm = ReliableLLM(backend, max_retries=0, cache_enabled=False)
+        results = llm.complete_many(
+            ["ok", "bad", "ok2"], parallelism=2, return_exceptions=True
+        )
+        assert results[0].text == "echo:ok"
+        assert isinstance(results[1], TransientLLMError)
+        assert results[2].text == "echo:ok2"
+        llm.close()
+
+    def test_sequential_path_still_raises(self):
+        backend = RecordingBackend(fail_substring="bad")
+        llm = ReliableLLM(backend, max_retries=0, cache_enabled=False)
+        with pytest.raises(TransientLLMError):
+            llm.complete_many(["bad"], parallelism=1)

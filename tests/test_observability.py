@@ -815,13 +815,7 @@ class TestEndToEndTrace:
         from repro.partitioner.partitioner import ArynPartitioner
         from repro.sycamore.context import SycamoreContext
 
-        scheduler = RequestScheduler(max_wait_ms=2.0)
-        ctx = SycamoreContext(
-            parallelism=3,
-            seed=5,
-            scheduler=scheduler,
-            registry=MetricsRegistry(),
-        )
+        ctx = SycamoreContext(parallelism=3, seed=5, registry=MetricsRegistry())
         _, raws = generate_ntsb_corpus(6, seed=5)
         (
             ctx.read.raw(raws)
@@ -832,7 +826,7 @@ class TestEndToEndTrace:
         luna = Luna(ctx, planner_model="sim-oracle")
         result = luna.query("How many incidents were there?", "ntsb")
         yield ctx, result
-        scheduler.close()
+        ctx.close()
 
     def test_result_carries_trace_id_and_cost(self, traced_query):
         ctx, result = traced_query
@@ -841,17 +835,21 @@ class TestEndToEndTrace:
         assert result.trace.cost.trace_id == result.trace.trace_id
 
     def test_every_request_span_is_costed_and_batch_linked(self, traced_query):
+        """With one client per context, each request span is the client's
+        own, costed and nested under the operator that issued it."""
         ctx, result = traced_query
         spans = ctx.tracer.trace_spans(result.trace.trace_id)
         assert spans[0].kind == "query"
+        by_id = {s.span_id: s for s in spans}
         request_spans = [s for s in spans if s.kind == "llm_request"]
         assert request_spans, "a Luna query must issue LLM requests"
         for span in request_spans:
             assert "input_tokens" in span.attributes
             assert "cost_usd" in span.attributes
-            assert span.attributes.get("batch_span") or span.attributes.get(
-                "dedup"
-            )
+            ancestor = by_id.get(span.parent_id)
+            while ancestor is not None and not ancestor.name.startswith("op["):
+                ancestor = by_id.get(ancestor.parent_id)
+            assert ancestor is not None, f"{span.name} sits under no operator"
 
     def test_tree_renders_whole_hierarchy(self, traced_query):
         ctx, result = traced_query

@@ -488,9 +488,7 @@ class _ScriptedLLM:
 
 
 def scripted_context(llm):
-    return SimpleNamespace(
-        llm_for=lambda priority: llm, default_model="sim-large", registry=MetricsRegistry()
-    )
+    return SimpleNamespace(llm=llm, default_model="sim-large", registry=MetricsRegistry())
 
 
 class TestCascadeSemantics:

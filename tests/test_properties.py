@@ -27,7 +27,6 @@ from repro.luna import (
 )
 from repro.luna.lowering import Scope, lower
 from repro.partitioner import ArynPartitioner
-from repro.runtime import Priority
 from repro.sycamore import SycamoreContext, aggregates
 from repro.sycamore.aggregates import aggregate_field, sort_documents, top_k_values
 from repro.sycamore.llm_transforms import (
@@ -595,14 +594,12 @@ class ReferenceInterpreter:
                 draft_model=str(cascade.get("draft_model", "sim-small")),
                 draft_votes=int(cascade.get("draft_votes", 2)),
                 confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
-                priority=Priority.INTERACTIVE,
             )
             return self._run_docset_plan(Plan.from_items(documents).filter(predicate))
         predicate = make_llm_filter_fn(
             self.context,
             condition=str(node.params["condition"]),
             model=node.params.get("model"),
-            priority=Priority.INTERACTIVE,
         )
         return self._run_docset_plan(Plan.from_items(documents).filter(predicate))
 
@@ -617,11 +614,10 @@ class ReferenceInterpreter:
                 verify_model=str(node.params.get("model") or self.context.default_model),
                 draft_model=str(cascade.get("draft_model", "sim-small")),
                 confidence_threshold=float(cascade.get("confidence_threshold", 0.75)),
-                priority=Priority.INTERACTIVE,
             )
             return self._run_docset_plan(Plan.from_items(documents).map(fn))
         fn = make_extract_properties_fn(
-            self.context, schema, model=node.params.get("model"), priority=Priority.INTERACTIVE
+            self.context, schema, model=node.params.get("model")
         )
         return self._run_docset_plan(Plan.from_items(documents).map(fn))
 
@@ -714,7 +710,6 @@ class ReferenceInterpreter:
             documents,
             model=node.params.get("model"),
             question=node.params.get("question"),
-            priority=Priority.INTERACTIVE,
         )
 
     def _op_identity(self, node, inputs, _):

@@ -437,197 +437,3 @@ class TestScheduledLLM:
             assert results[2].text == "echo:c"
             with pytest.raises(TransientLLMError):
                 client.complete_many(["bad"])
-
-
-class TestContextIntegration:
-    def test_pipeline_through_scheduler_matches_direct(self, ntsb_corpus):
-        from repro.partitioner import ArynPartitioner
-        from repro.sycamore import SycamoreContext
-
-        _, raws = ntsb_corpus
-        schema = {"state": "string", "weather_related": "bool"}
-
-        def build(scheduler):
-            ctx = SycamoreContext(parallelism=4, seed=0, scheduler=scheduler)
-            (
-                ctx.read.raw(raws[:8])
-                .partition(ArynPartitioner(seed=0))
-                .extract_properties(schema, model="sim-oracle")
-                .write.index("ntsb")
-            )
-            return [
-                (d.doc_id, d.properties.get("state"), d.properties.get("weather_related"))
-                for d in ctx.catalog.get("ntsb").all_documents()
-            ]
-
-        direct = build(None)
-        # Batching alone (dedup off) and the full scheduler both leave
-        # the answers exactly as a direct, one-call-per-prompt run.
-        for dedup in (True, False):
-            sched = RequestScheduler(max_batch_size=4, max_wait_ms=2.0, dedup=dedup)
-            try:
-                scheduled = build(sched)
-                assert sorted(scheduled) == sorted(direct)
-                m = sched.metrics()
-                assert m["completed"] >= 8
-                assert m["queue_depth_bulk"] == 0
-            finally:
-                sched.close()
-
-    def test_executor_stats_carry_scheduler_delta(self, ntsb_corpus):
-        from repro.partitioner import ArynPartitioner
-        from repro.sycamore import SycamoreContext
-
-        _, raws = ntsb_corpus
-        sched = RequestScheduler(max_batch_size=4, max_wait_ms=1.0)
-        try:
-            ctx = SycamoreContext(parallelism=2, seed=0, scheduler=sched)
-            (
-                ctx.read.raw(raws[:4])
-                .partition(ArynPartitioner(seed=0))
-                .extract_properties({"state": "string"}, model="sim-oracle")
-                .write.index("ntsb")
-            )
-            assert ctx.last_stats is not None
-            assert sched.stats().completed >= 4
-        finally:
-            sched.close()
-
-    def test_luna_query_uses_interactive_priority(self, ntsb_corpus):
-        from repro import Luna
-        from repro.partitioner import ArynPartitioner
-        from repro.sycamore import SycamoreContext
-
-        _, raws = ntsb_corpus
-        sched = RequestScheduler(max_batch_size=4, max_wait_ms=1.0)
-        try:
-            ctx = SycamoreContext(parallelism=2, seed=0, scheduler=sched)
-            (
-                ctx.read.raw(raws[:6])
-                .partition(ArynPartitioner(seed=0))
-                .extract_properties(
-                    {"state": "string", "weather_related": "bool"},
-                    model="sim-oracle",
-                )
-                .write.index("ntsb")
-            )
-            result = Luna(ctx).query(
-                "How many incidents were caused by wind?", index="ntsb"
-            )
-            assert result.answer is not None
-            assert sched.metrics()["completed"] > 6  # ETL + query traffic
-        finally:
-            sched.close()
-
-
-class TestCompleteManyFix:
-    def test_shared_pool_is_reused_across_calls(self):
-        llm = ReliableLLM(SimulatedLLM(seed=0), cache_enabled=False)
-        prompts = [f"<<TASK:echo>>\n<<SECTION:text>>\np{i}" for i in range(4)]
-        llm.complete_many(prompts, parallelism=4)
-        pool_first = llm._pool
-        llm.complete_many(prompts, parallelism=4)
-        assert llm._pool is pool_first is not None
-        llm.close()
-        assert llm._pool is None
-
-    def test_intra_batch_duplicates_collapse_preserving_order(self):
-        backend = RecordingBackend()
-        llm = ReliableLLM(backend, cache_enabled=False)
-        results = llm.complete_many(["a", "b", "a", "a", "b"], parallelism=4)
-        assert [r.text for r in results] == [
-            "echo:a", "echo:b", "echo:a", "echo:a", "echo:b"
-        ]
-        assert sorted(backend.calls) == ["a", "b"]
-        llm.close()
-
-    def test_return_exceptions_isolates_failures(self):
-        backend = RecordingBackend(fail_substring="bad")
-        llm = ReliableLLM(backend, max_retries=0, cache_enabled=False)
-        results = llm.complete_many(
-            ["ok", "bad", "ok2"], parallelism=2, return_exceptions=True
-        )
-        assert results[0].text == "echo:ok"
-        assert isinstance(results[1], TransientLLMError)
-        assert results[2].text == "echo:ok2"
-        llm.close()
-
-    def test_sequential_path_still_raises(self):
-        backend = RecordingBackend(fail_substring="bad")
-        llm = ReliableLLM(backend, max_retries=0, cache_enabled=False)
-        with pytest.raises(TransientLLMError):
-            llm.complete_many(["bad"], parallelism=1)
-
-
-class TestPromptPrefixCache:
-    def test_prefix_built_prompt_matches_full_render(self):
-        from repro.llm.prompts import EXTRACT_PROPERTIES, append_section, render_task_prompt
-
-        prefix = render_task_prompt(
-            "extract_properties",
-            {"instructions": EXTRACT_PROPERTIES.instructions, "schema": "{}"},
-        )
-        assert append_section(prefix, "document", "text\n") == EXTRACT_PROPERTIES.render(
-            schema="{}", document="text\n"
-        )
-
-    def test_factory_prompts_match_full_render(self):
-        from repro.docmodel import Document
-        from repro.llm.prompts import FILTER_DOCUMENT, render_task_prompt
-        from repro.sycamore import SycamoreContext
-        from repro.sycamore.llm_transforms import make_llm_filter_fn, make_llm_query_fn
-
-        backend = RecordingBackend()
-        ctx = SycamoreContext(llm=ReliableLLM(backend, cache_enabled=False), parallelism=1)
-        doc = Document.from_text("gusty crosswind on short final")
-        text = doc.text_representation()
-        make_llm_filter_fn(ctx, condition="mentions wind")(doc)
-        make_llm_query_fn(ctx, "Name the hazard", "hazard")(doc)
-        assert backend.calls == [
-            FILTER_DOCUMENT.render(condition="mentions wind", document=text),
-            render_task_prompt(
-                "llm_query", {"instructions": "Name the hazard", "document": text}
-            ),
-        ]
-
-    def test_transform_output_unchanged_by_hoisting(self, context, ntsb_corpus):
-        from repro.partitioner import ArynPartitioner
-        from repro.sycamore.llm_transforms import make_summarize_fn
-
-        _, raws = ntsb_corpus
-        doc = ArynPartitioner(seed=0).partition(raws[0])
-        summarize = make_summarize_fn(context, model="sim-oracle")
-        assert summarize(doc).properties["summary"]
-
-
-class TestCLI:
-    def test_runtime_stats_command(self, capsys):
-        from repro.cli import main
-
-        assert main(["runtime-stats", "--docs", "6", "--parallelism", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "batch-size histogram" in out
-        assert "dedup hits" in out
-
-    def test_chaos_command_reports_scheduler_stats(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "chaos",
-                    "--docs",
-                    "6",
-                    "--parallelism",
-                    "2",
-                    "--fault-seed",
-                    "42",
-                    "--transient-rate",
-                    "0.2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "scheduler:" in out
-        assert "dead-lettered" in out
