@@ -2,7 +2,7 @@
 """cProfile one repeat of a perf-harness workload.
 
     python3 scripts/profile_workload.py {etl_ingest,query_inproc} [--smoke] [--seed N] [--top N]
-    python3 scripts/profile_workload.py query_inproc --split [--smoke] [--seed N]
+    python3 scripts/profile_workload.py {query_inproc,cluster_scatter} --split [--smoke] [--seed N]
 
 Runs the workload's repeat once to warm the process (imports, regex
 caches, thread pools), profiles the next one, and prints the top
@@ -20,6 +20,13 @@ interleaved round after round, and prints the minimum and median
 microseconds per backend call of each layer: what the simulated model
 costs, what the client adds to it, and what everything above the client
 (executor, DocSet, Luna, planner, rollups) adds to that.
+
+``cluster_scatter --split`` profiles nothing either: cProfile cannot see
+into worker processes. It runs the harness's segments on its cluster
+config, one after another, and prints per segment the coordinator's
+wall, each worker's busy time (the sum of the ``wall_s`` of its
+``cluster.shard`` spans) and the gap between the wall and the busier
+worker: scatter, pickling, IPC and gather.
 
 The repeats are built from the pieces ``benchmarks/perf/workloads.py``
 exposes, which this script imports and does not change. cProfile taxes
@@ -44,6 +51,8 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "perf")]
 
 import workloads  # noqa: E402
 from common import FULL, SMOKE, Sizes  # noqa: E402
+from repro.cluster import ClusterCoordinator  # noqa: E402
+from repro.cluster.bench import generate_bench_corpus  # noqa: E402
 from repro.datagen import (  # noqa: E402
     build_full_suite,
     generate_earnings_corpus,
@@ -51,6 +60,7 @@ from repro.datagen import (  # noqa: E402
 )
 from repro.llm.base import LLMClient, LLMResponse  # noqa: E402
 from repro.luna import Luna  # noqa: E402
+from repro.observability import MetricsRegistry, Tracer  # noqa: E402
 
 
 #: What a workload hands back: one repeat, which returns (backend calls
@@ -180,6 +190,58 @@ def split(seed: int, sizes: Sizes, rounds: int) -> None:
         print(f"{name:<18} {low[outer] - low[inner]:>8.1f} {mid[outer] - mid[inner]:>8.1f}")
 
 
+def split_cluster(seed: int, sizes: Sizes, rounds: int) -> None:
+    """Per segment: the coordinator's wall, each worker's busy time, the gap."""
+    config, spec = workloads.CLUSTER_CONFIG, workloads.EXTRACT_SPEC
+    # The harness's corpus seeds: every segment a fresh corpus.
+    corpus_seeds = iter(range(1000 * seed, 1000 * seed + 1000))
+    tracer = Tracer()
+    coordinator = ClusterCoordinator(config, tracer=tracer, registry=MetricsRegistry())
+    rows: List[Tuple[float, List[float], List[float]]] = []
+    try:
+        warm = generate_bench_corpus(max(8, sizes.cluster_docs // 3), seed=next(corpus_seeds))
+        coordinator.run_segment(warm, spec)
+        for _ in range(rounds):
+            documents = generate_bench_corpus(sizes.cluster_docs, seed=next(corpus_seeds))
+            wall_s = coordinator.run_segment(documents, spec).wall_s
+            spans = tracer.spans()
+            segment = [span for span in spans if span.name == "cluster.segment"][-1]
+            busy_s = [0.0] * config.n_workers
+            shard_s = []
+            for span in spans:
+                if span.parent_id == segment.span_id and "wall_s" in span.attributes:
+                    busy_s[span.attributes["worker"]] += span.attributes["wall_s"]
+                    shard_s.append(span.attributes["wall_s"])
+            rows.append((wall_s, busy_s, shard_s))
+    finally:
+        coordinator.close()
+    print(
+        f"{rounds} segments of {sizes.cluster_docs} docs, seed {seed}, "
+        f"{config.n_workers} workers x {config.shards_per_worker} shards; ms"
+    )
+    workers = [f"worker {slot}" for slot in range(config.n_workers)]
+    print(f"{'segment':<8} {'wall':>8} " + " ".join(f"{w:>9}" for w in workers) + f" {'gap':>8} {'shard p50':>9}")
+    for index, (wall_s, busy_s, shard_s) in enumerate(rows):
+        print(
+            f"{index:<8} {wall_s * 1e3:>8.1f} "
+            + " ".join(f"{b * 1e3:>9.1f}" for b in busy_s)
+            + f" {(wall_s - max(busy_s)) * 1e3:>8.1f} {statistics.median(shard_s) * 1e3:>9.1f}"
+        )
+    walls = [wall_s for wall_s, _, _ in rows]
+    gaps = [wall_s - max(busy_s) for wall_s, busy_s, _ in rows]
+    print(
+        f"median wall {statistics.median(walls) * 1e3:.1f} ms, "
+        f"median gap {statistics.median(gaps) * 1e3:.1f} ms, "
+        f"{sizes.cluster_docs / statistics.median(walls):.0f} docs/s at the median wall"
+    )
+
+
+SPLITS: Dict[str, Callable[[int, Sizes, int], None]] = {
+    "query_inproc": split,
+    "cluster_scatter": split_cluster,
+}
+
+
 def profile(repeat: Callable[[], object]) -> pstats.Stats:
     """Warm with one repeat, then profile the next on every thread."""
     thread_profiles: List[cProfile.Profile] = []
@@ -212,25 +274,28 @@ def profile(repeat: Callable[[], object]) -> pstats.Stats:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("workload", choices=sorted(set(WORKLOADS) | set(SPLITS)))
     parser.add_argument("--smoke", action="store_true", help="one tenth of the benchmark's sizes")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     parser.add_argument(
         "--split",
         action="store_true",
-        help="query_inproc only: us per call of backend, client and full pass, no profiler",
+        help="no profiler: query_inproc's us per call of backend, client and full pass, "
+        "or cluster_scatter's wall, worker busy time and gap per segment",
     )
     args = parser.parse_args()
     if args.split:
-        if args.workload != "query_inproc":
-            parser.error("--split replays the prompts of a query_inproc pass")
-        split(
+        if args.workload not in SPLITS:
+            parser.error(f"--split runs on {' and '.join(SPLITS)} only")
+        SPLITS[args.workload](
             args.seed,
             SMOKE if args.smoke else FULL,
             SPLIT_ROUNDS_SMOKE if args.smoke else SPLIT_ROUNDS,
         )
         return 0
+    if args.workload not in WORKLOADS:
+        parser.error(f"{args.workload} runs in worker processes cProfile cannot see; use --split")
 
     repeat, close = WORKLOADS[args.workload](args.seed, SMOKE if args.smoke else FULL)
     try:

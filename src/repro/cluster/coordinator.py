@@ -91,7 +91,8 @@ class ClusterConfig:
 
     Workers are spawned (the portable start method, which also enforces
     the picklable-envelope discipline end to end) and run each shard's
-    plan on one thread.
+    plan with ``worker.CALLS_IN_FLIGHT`` LLM calls in flight. That count
+    is a constant, not a field here: it is the one value in use.
     """
 
     n_workers: int = 2

@@ -6,8 +6,10 @@ parent, so completions are placement-independent), its own
 :class:`~repro.llm.client.ReliableLLM` reliability layer and executor.
 Nothing is shared with the coordinator but the task/result queues; this
 is the paper's shared-nothing Ray-worker shape scaled down to
-``multiprocessing``. A worker runs its shard on one thread, and shard
-LLM calls go straight to the worker's ``ReliableLLM``.
+``multiprocessing``. A hosted model call is network-bound, so a worker
+keeps :data:`CALLS_IN_FLIGHT` of its shard's calls in flight on executor
+threads, each straight to the worker's ``ReliableLLM``; the executor
+emits records in input order, so the overlap cannot reorder the output.
 
 Byte-identity with local execution is structural, not tested-in:
 :func:`run_spec_locally` is the *only* implementation of a shard plan,
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from queue import Empty
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..docmodel.document import Document
 from ..execution.executor import ExecutionStats
@@ -47,6 +49,12 @@ from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 #: worker whose coordinator died (queue never drained, sentinel never
 #: sent) still reaches its shutdown checks instead of hanging forever.
 TASK_POLL_S = 0.2
+
+#: LLM calls a worker keeps in flight: the executor parallelism of every
+#: shard it runs. Past sixteen ``cluster_scatter`` gains nothing: its two
+#: workers and the coordinator then compete for 2 vCPUs (DESIGN.md §13
+#: has the sweep).
+CALLS_IN_FLIGHT = 16
 
 
 def run_spec_locally(
@@ -73,6 +81,28 @@ def run_spec_locally(
     return docset.execute(on_error=spec.error_policy)
 
 
+def _occurrence_groups(
+    documents: List[Document], positions: List[int]
+) -> List[Tuple[List[Document], List[int]]]:
+    """Split a shard so no ``doc_id`` repeats within a group.
+
+    An operator's output carries its input's ``doc_id``, which is how
+    outputs find their positions again; a join can emit one id several
+    times. The k-th occurrence of each id goes to group k, so within a
+    group the id is a key. With unique ids this is one group.
+    """
+    groups: List[Tuple[List[Document], List[int]]] = []
+    seen: Dict[str, int] = {}
+    for document, position in zip(documents, positions):
+        occurrence = seen.get(document.doc_id, 0)
+        seen[document.doc_id] = occurrence + 1
+        if occurrence == len(groups):
+            groups.append(([], []))
+        groups[occurrence][0].append(document)
+        groups[occurrence][1].append(position)
+    return groups
+
+
 def build_worker_context(config: WorkerConfig) -> SycamoreContext:
     """The worker's private stack, rebuilt from plain config values."""
     tracker = CostTracker()
@@ -82,7 +112,10 @@ def build_worker_context(config: WorkerConfig) -> SycamoreContext:
         real_latency_scale=config.real_latency_scale,
     )
     context = SycamoreContext(
-        llm=backend, default_model=config.default_model, seed=config.seed
+        llm=backend,
+        parallelism=CALLS_IN_FLIGHT,
+        default_model=config.default_model,
+        seed=config.seed,
     )
     # The context builds its own (empty) tracker before wrapping the
     # backend; point it at the backend's ledger so shard stats are real.
@@ -118,17 +151,20 @@ def execute_envelope(
                 deadline=Deadline(envelope.budget_s), query_id=envelope.query_id
             )
         with attach_scope(scope):
-            documents, stats = run_spec_locally(
-                context, envelope.documents, envelope.spec
-            )
-        position_of = {
-            document.doc_id: position
-            for document, position in zip(envelope.documents, envelope.positions)
-        }
-        result.documents = documents
-        result.positions = [position_of[document.doc_id] for document in documents]
-        result.dead_lettered = stats.total_dead_lettered()
-        result.skipped = stats.total_skipped()
+            for documents, positions in _occurrence_groups(
+                envelope.documents, envelope.positions
+            ):
+                outputs, stats = run_spec_locally(context, documents, envelope.spec)
+                position_of = {
+                    document.doc_id: position
+                    for document, position in zip(documents, positions)
+                }
+                result.documents.extend(outputs)
+                result.positions.extend(
+                    position_of[document.doc_id] for document in outputs
+                )
+                result.dead_lettered += stats.total_dead_lettered()
+                result.skipped += stats.total_skipped()
     except DeadlineExceeded as exc:
         result.status = "deadline"
         result.budget_s = exc.budget_s
@@ -137,6 +173,8 @@ def execute_envelope(
     except Exception as exc:  # noqa: BLE001 - workers must report, not die
         result.status = "error"
         result.error = f"{type(exc).__name__}: {exc}"
+    if result.status != "ok":  # drop the groups that did finish
+        result.documents, result.positions = [], []
 
     after = context.cost_tracker.summary()
     result.wall_s = time.monotonic() - started

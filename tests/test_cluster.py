@@ -47,6 +47,7 @@ from repro.cluster.envelope import (
     NonPicklableTaskError,
     ShardOp,
     ShardPlanSpec,
+    WorkerConfig,
     _check_value,
 )
 from repro.cluster.sharding import (
@@ -54,18 +55,24 @@ from repro.cluster.sharding import (
     partition_documents,
     shard_for,
 )
-from repro.cluster.worker import build_worker_context, run_spec_locally
+from repro.cluster.worker import (
+    CALLS_IN_FLIGHT,
+    build_worker_context,
+    run_spec_locally,
+)
 from repro.docmodel.document import Document
 from repro.indexes.keyword import KeywordIndex
 from repro.indexes.sharded import ShardedKeywordIndex, ShardedVectorIndex
 from repro.indexes.vector import VectorIndex
 from repro.lifecycle import CancelScope, Deadline, DeadlineExceeded, QueryJournal
 from repro.llm import ReliableLLM, SimulatedLLM
+from repro.llm.base import LLMClient
 from repro.luna import Luna
 from repro.luna.executor import LunaExecutor
 from repro.luna.operators import LogicalPlan
 from repro.luna.operators import PlanNode as LunaPlanNode
 from repro.serving import Overloaded
+from repro.sycamore import SycamoreContext
 
 EXTRACT_SPEC = ShardPlanSpec.from_ops(
     [ShardOp.make("LlmExtract", field="cause", type="string")],
@@ -89,6 +96,28 @@ def _run_locally(config: ClusterConfig, documents, spec):
     finally:
         context.close()
     return output, llm_calls
+
+
+class _OverlapProbe(LLMClient):
+    """Sleeps about 5 ms in front of a backend and keeps the peak number
+    of calls in flight at once."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, model="sim-large", max_output_tokens=None, temperature=0.0):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.005)
+            return self.inner.complete(prompt, model, max_output_tokens, temperature)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +415,8 @@ class TestShardedIndexes:
 
 class TestClusterExecution:
     def test_worker_stack_calls_its_llm_directly(self):
-        """A worker runs its shard on one thread: no scheduler batches or
-        dedups its calls, they go to the worker's reliability layer."""
+        """No scheduler batches or dedups a worker's calls: each of its
+        executor threads calls the worker's reliability layer."""
         context = build_worker_context(ClusterConfig().worker_config())
         try:
             assert context.scheduler is None
@@ -395,6 +424,35 @@ class TestClusterExecution:
             assert isinstance(context.llm.backend, SimulatedLLM)
         finally:
             context.close()
+
+    def test_a_worker_keeps_its_calls_in_flight_in_input_order(self):
+        """A shard's calls overlap CALLS_IN_FLIGHT deep, and the output
+        lines equal a one-thread context's over the same seed."""
+        documents = generate_bench_corpus(64)
+        context = build_worker_context(WorkerConfig())
+        probe = _OverlapProbe(context.llm.backend)
+        context.llm.backend = probe
+        try:
+            overlapped, _ = run_spec_locally(context, documents, EXTRACT_SPEC)
+        finally:
+            context.close()
+        with SycamoreContext(parallelism=1, seed=WorkerConfig().seed) as serial:
+            expected, _ = run_spec_locally(serial, documents, EXTRACT_SPEC)
+        assert probe.peak == CALLS_IN_FLIGHT
+        assert _doc_bytes(overlapped) == _doc_bytes(expected)
+
+    def test_a_repeated_doc_id_keeps_its_position(self):
+        """A join can emit one doc_id twice; the gather must still put
+        each output where its input was."""
+        documents = generate_bench_corpus(12)
+        documents[5].doc_id = documents[0].doc_id
+        config = ClusterConfig(
+            n_workers=2, shards_per_worker=2, seed=0, default_model="sim-small"
+        )
+        expected, _ = _run_locally(config, documents, EXTRACT_SPEC)
+        with ClusterCoordinator(config) as coordinator:
+            run = coordinator.run_segment(documents, EXTRACT_SPEC)
+        assert _doc_bytes(run.documents) == _doc_bytes(expected)
 
     def test_sharded_output_byte_identical_to_single_process(self):
         """The cluster's core invariant at small scale: same bytes, and

@@ -5,7 +5,9 @@ Each failure class has one owner (DESIGN.md §7, "Failure ownership"):
 re-asks malformed output, the planner re-plans an invalid plan, and the
 cluster re-dispatches a dead worker's shard. Nothing else retries, so one
 record costs one layer's attempts, at any parallelism, in-process or on a
-worker. The backends here always fail, which makes every count exact.
+worker. The backends here always fail, which makes every count exact but
+one: a parallel node under ``fail`` stops submitting at its first failure,
+so it is bounded by the records in its window.
 """
 
 import threading
@@ -14,7 +16,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterCoordinator, ClusterError
 from repro.cluster.envelope import ShardOp, ShardPlanSpec, WorkerConfig
-from repro.cluster.worker import build_worker_context, run_spec_locally
+from repro.cluster.worker import CALLS_IN_FLIGHT, build_worker_context, run_spec_locally
 from repro.docmodel import Document
 from repro.embedding import HashingEmbedder
 from repro.execution import TaskError
@@ -65,8 +67,8 @@ def client(backend):
     return ReliableLLM(backend, sleeper=lambda s: None)
 
 
-def records():
-    return [Document.from_text(f"Report {i}: the engine failed over Ohio.") for i in range(N_RECORDS)]
+def records(n=N_RECORDS):
+    return [Document.from_text(f"Report {i}: the engine failed over Ohio.") for i in range(n)]
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
@@ -114,11 +116,14 @@ def test_a_worker_shard_asks_one_layers_attempts_per_record(backend_cls, asks):
         assert documents == []
         assert stats.total_dead_lettered() == N_RECORDS
         assert backend.asks == asks * N_RECORDS
-        # Under the spec's default ``fail`` policy the first failing record
-        # ends the shard: one record's asks, no more.
+        # Under the spec's default ``fail`` policy the node stops
+        # submitting at its first failure. Records already in its window
+        # (2 x CALLS_IN_FLIGHT) still spend their own asks, none beyond it.
+        window = 2 * CALLS_IN_FLIGHT
+        backend.asks = 0
         with pytest.raises(TaskError):
-            run_spec_locally(context, records(), ShardPlanSpec.from_ops(ops))
-        assert backend.asks == asks * (N_RECORDS + 1)
+            run_spec_locally(context, records(3 * window), ShardPlanSpec.from_ops(ops))
+        assert asks <= backend.asks <= asks * window
     finally:
         context.close()
 
